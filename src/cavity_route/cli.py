@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Every subcommand reads a JSON config (``--config``) and prints a short
-machine-parseable report; the schedule-running subcommands also write a CSV
-population trace (``--out``).  Exit codes: 0 success, 2 config error, 1
-numerical failure (an ``--strict`` threshold violated, or I/O trouble).
+machine-parseable report; the protocol subcommands (``simulate``, ``switch``,
+``route``, ``entangle``) also write a CSV population trace (``--out``).  Exit
+codes: 0 success; 2 config error, also for a request above
+``network.ARRAY_BUDGET``; 1 numerical failure (a non-finite result always, a
+violated threshold under ``--strict``) or I/O trouble.  Every non-zero exit
+prints one line on stderr.
 
 Config layout::
 
@@ -14,7 +17,8 @@ Config layout::
       "network": {...},            # custom: explicit NetworkSpec
       "params": {"omega_c": 1.0, "delta": 0.0, "g": 65.0, "j": 1.0},
       "protocol": {
-        "times": "auto",           # or explicit [t1, t2] / single number
+        "times": "auto",           # or explicit: [t1, t2] (simulate, entangle),
+                                   # t or [t] (switch), [t_upload, t_hop] (route)
         "port": 2,                 # switch target port
         "path": ["a", "b"],        # hex route, upload vertex to download vertex
         "compensate": true,        # entangle only
@@ -24,9 +28,12 @@ Config layout::
       "output": {"path": "trace.csv", "samples_per_window": 241}
     }
 
-Analysis subcommands (``blocks``, ``transfer-time``, ``validate-analytic``)
-ignore the protocol/output blocks; ``transfer-time`` reads the block name
-from ``"block"`` or ``--block``.  Flags override config values.
+``window`` and ``grid`` come from the flag (``--tmax`` gives ``[0, tmax]``),
+else the top-level key, else ``protocol.<key>``, for every subcommand; the
+samples per window and the trace path from ``--samples``/``--out``, else
+``output``.  Booleans, non-numbers, nan/inf and out-of-range values are
+config errors.  ``transfer-time`` takes one of the four block names ``end``,
+``mid``, ``upload``, ``hop`` from ``--block`` or ``"block"``.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from math import isqrt
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,6 +61,7 @@ from .evolution import (
     site_population,
 )
 from .network import (
+    ARRAY_BUDGET,
     HexLatticeDescriptor,
     NetworkSpec,
     SystemParams,
@@ -76,6 +86,8 @@ _TRANSFER_PAIRS = {4: (1, 3), 6: (1, 5)}
 
 _RESIDUAL_THRESHOLD = 1e-12
 _ANALYTIC_THRESHOLD = 1e-9
+_FIDELITY_FLOOR = 0.99
+_LEAKAGE_CEILING = 1e-6
 
 
 class ConfigError(Exception):
@@ -88,71 +100,87 @@ def _load_config(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     return data
 
 
+def _section(cfg: dict, name: str) -> dict:
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' must be an object")
+    return section
+
+
+def _real(value, label: str) -> float:
+    """``value`` as a float; the bound refuses nan, inf and ints beyond the float range."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{label} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _count(value, label: str, low: int, high: int) -> int:
+    """``value`` as an int in ``[low, high]``, refusing bools and non-integers."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        raise ConfigError(f"{label} must be an integer in [{low}, {high}], got {value!r}")
+    return value
+
+
+def _lookup(flag, cfg: dict, key: str):
+    """``flag`` if given, else the top-level ``key``, else ``protocol.<key>``."""
+    if flag is not None:
+        return flag
+    return cfg[key] if key in cfg else _section(cfg, "protocol").get(key)
+
+
 def _config_params(cfg: dict) -> SystemParams:
-    raw = cfg.get("params", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("'params' must be an object")
     try:
-        return SystemParams.from_json_dict(raw)
+        return SystemParams.from_json_dict(_section(cfg, "params"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params: {exc}") from exc
 
 
-def _protocol(cfg: dict) -> dict:
-    proto = cfg.get("protocol", {})
-    if not isinstance(proto, dict):
-        raise ConfigError("'protocol' must be an object")
-    return proto
+def _tmax(args) -> float:
+    tmax = _real(args.tmax, "--tmax")
+    if not tmax > 0:
+        raise ConfigError(f"--tmax must be positive, got {tmax}")
+    return tmax
 
 
 def _search_window(args, cfg: dict, params: SystemParams) -> tuple[float, float]:
     if args.tmax is not None:
-        if not args.tmax > 0:
-            raise ConfigError(f"--tmax must be positive, got {args.tmax}")
-        return (0.0, float(args.tmax))
-    window = cfg.get("window", _protocol(cfg).get("window"))
-    if window is not None:
-        if not (isinstance(window, (list, tuple)) and len(window) == 2):
-            raise ConfigError("'window' must be a [lo, hi] pair")
-        lo, hi = float(window[0]), float(window[1])
-        if not hi > lo:
-            raise ConfigError(f"empty search window {window}")
-        return (lo, hi)
-    # dispersive transfers are slower by a factor ~|delta|/g
-    return (0.0, 10.0) if abs(params.delta) <= params.g else (0.0, 600.0)
+        return (0.0, _tmax(args))
+    window = _lookup(None, cfg, "window")
+    if window is None:
+        # dispersive transfers are slower by a factor ~|delta|/g
+        return (0.0, 10.0) if abs(params.delta) <= params.g else (0.0, 600.0)
+    if not (isinstance(window, list) and len(window) == 2):
+        raise ConfigError("'window' must be a [lo, hi] pair")
+    lo, hi = (_real(bound, "'window' bound") for bound in window)
+    if not hi > lo:
+        raise ConfigError(f"empty search window {window}")
+    return (lo, hi)
 
 
-def _grid_points(args, cfg: dict, block, window) -> int:
-    grid = args.grid if args.grid is not None else cfg.get("grid", _protocol(cfg).get("grid"))
-    if grid is None:
-        return auto_grid_points(block, window)
-    grid = int(grid)
-    if grid < 3:
-        raise ConfigError(f"grid must be >= 3, got {grid}")
-    return grid
+def _find_peak(h, source: int, target: int, args, cfg: dict, params: SystemParams):
+    """Transfer peak over the configured window, on the configured or auto grid."""
+    window = _search_window(args, cfg, params)
+    grid = _lookup(args.grid, cfg, "grid")
+    grid = auto_grid_points(h, window) if grid is None else _count(grid, "grid", 3, ARRAY_BUDGET)
+    return find_transfer_time(h, source, target, window=window, grid_points=grid)
 
 
-def _samples_per_window(args, cfg: dict) -> int:
-    output = cfg.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("'output' must be an object")
+def _output(args, cfg: dict) -> tuple[int, str | None]:
+    """Samples per window and trace path: the flag, else the ``output`` section."""
+    output = _section(cfg, "output")
     samples = args.samples if args.samples is not None else output.get("samples_per_window", 241)
-    samples = int(samples)
-    if samples < 2:
-        raise ConfigError(f"samples_per_window must be >= 2, got {samples}")
-    return samples
-
-
-def _out_path(args, cfg: dict) -> str | None:
-    output = cfg.get("output", {})
-    return args.out if args.out is not None else output.get("path")
+    path = args.out if args.out is not None else output.get("path")
+    if not (path is None or isinstance(path, str)):
+        raise ConfigError(f"output 'path' must be a string, got {path!r}")
+    return _count(samples, "samples_per_window", 2, ARRAY_BUDGET), path
 
 
 def _require_topology(cfg: dict, *allowed: str) -> str:
@@ -163,10 +191,8 @@ def _require_topology(cfg: dict, *allowed: str) -> str:
 
 
 def _chain_size(cfg: dict) -> int:
-    n = cfg.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"diamond_chain needs a positive integer 'n', got {n!r}")
-    return n
+    # bounded so that the dense (6n + 2)-mode Hamiltonian fits the array budget
+    return _count(cfg.get("n"), "diamond_chain 'n'", 1, (isqrt(ARRAY_BUDGET) - 2) // 6)
 
 
 def _descriptor(cfg: dict) -> HexLatticeDescriptor:
@@ -176,21 +202,11 @@ def _descriptor(cfg: dict) -> HexLatticeDescriptor:
     return HexLatticeDescriptor.from_json_dict(raw)
 
 
-def _resolved_time(params: SystemParams, which: str, window, grid):
-    block = extract_block(params, which)
-    n = grid if grid is not None else auto_grid_points(block, window)
-    src, tgt = _TRANSFER_PAIRS[block.dim]
-    return find_transfer_time(block, src, tgt, window=window, grid_points=n)
-
-
-def _positive_time(value, label: str) -> float:
-    try:
-        t = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{label} must be a number, got {value!r}") from None
-    if not t > 0:
-        raise ConfigError(f"{label} must be positive, got {t}")
-    return t
+def _check_finite(**values) -> None:
+    """Refuse to report a non-finite number (scalars or arrays)."""
+    bad = [name for name, value in values.items() if not np.isfinite(value).all()]
+    if bad:
+        raise FloatingPointError(f"non-finite {', '.join(bad)}")
 
 
 def emit_trace_csv(
@@ -241,6 +257,7 @@ def _cmd_blocks(args) -> int:
     spec, transform = _network_and_basis(cfg, params)
     h = build_single_excitation_hamiltonian(spec)
     blocks, residual = block_decompose(h, transform)
+    _check_finite(residual=residual, blocks=np.concatenate([b.matrix.ravel() for b in blocks]))
     shown = "<=1e-12" if residual <= _RESIDUAL_THRESHOLD else f"{residual:.3e}"
     print(f"blocks: {','.join(str(b.dim) for b in blocks)} residual: {shown}")
     if args.out:
@@ -251,7 +268,7 @@ def _cmd_blocks(args) -> int:
                 lines.append(",".join(f"{x:.12g}" for x in row))
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-    if args.strict and residual > _RESIDUAL_THRESHOLD:
+    if args.strict and not (_RESIDUAL_THRESHOLD >= residual):
         print(f"strict: residual {residual:.3e} above {_RESIDUAL_THRESHOLD}", file=sys.stderr)
         return 1
     return 0
@@ -271,19 +288,14 @@ def _cmd_transfer_time(args) -> int:
         source, target = args.source, args.target
     else:
         params = _config_params(cfg)
-        which = args.block if args.block is not None else cfg.get("block", "end")
-        h = extract_block(params, which)
+        h = extract_block(params, args.block if args.block is not None else cfg.get("block", "end"))
         defaults = _TRANSFER_PAIRS[h.dim]
         source = args.source if args.source is not None else defaults[0]
         target = args.target if args.target is not None else defaults[1]
-    window = _search_window(args, cfg, params)
-    grid = _grid_points(args, cfg, h, window)
-    result = find_transfer_time(h, source, target, window=window, grid_points=grid)
-    print(
-        f"t_star={result.t_star:.12g} fidelity={result.fidelity:.12g} "
-        f"phase={result.phase:.12g}"
-    )
-    if args.strict and result.fidelity < 0.999:
+    result = _find_peak(h, source, target, args, cfg, params)
+    _check_finite(**result._asdict())
+    print(" ".join(f"{key}={value:.12g}" for key, value in result._asdict().items()))
+    if args.strict and not (result.fidelity >= 0.999):
         print(f"strict: peak fidelity {result.fidelity:.6f} below 0.999", file=sys.stderr)
         return 1
     return 0
@@ -292,184 +304,145 @@ def _cmd_transfer_time(args) -> int:
 def _cmd_validate_analytic(args) -> int:
     cfg = _load_config(args.config)
     params = _config_params(cfg)
-    samples = int(cfg.get("samples", 101))
-    if samples < 2:
-        raise ConfigError(f"samples must be >= 2, got {samples}")
+    # the largest block has 6 modes, and each sample holds all of them
+    samples = _count(cfg.get("samples", 101), "samples", 2, ARRAY_BUDGET // 6)
     names = cfg.get("blocks", ["end", "mid", "upload", "hop"])
     if not isinstance(names, list) or not names:
         raise ConfigError("'blocks' must be a non-empty list of block names")
     regimes = (("resonant", 0.0, 10.0), ("dispersive", -1000.0, 600.0))
-    worst = 0.0
+    lines, errors = [], []
     for which in names:
         for regime, delta, tmax in regimes:
-            regime_params = replace(params, delta=delta)
-            times = np.linspace(0.0, args.tmax if args.tmax is not None else tmax, samples)
-            err = validate_analytic(regime_params, which, times)
-            worst = max(worst, err)
-            print(f"block={which} regime={regime} max_error={err:.6e}")
+            times = np.linspace(0.0, _tmax(args) if args.tmax is not None else tmax, samples)
+            errors.append(validate_analytic(replace(params, delta=delta), which, times))
+            lines.append(f"block={which} regime={regime} max_error={errors[-1]:.6e}")
+    _check_finite(max_error=errors)
+    worst = max(errors)
+    print("\n".join(lines))
     print(f"worst={worst:.6e}")
-    if args.strict and worst > _ANALYTIC_THRESHOLD:
+    if args.strict and not (_ANALYTIC_THRESHOLD >= worst):
         print(f"strict: worst error {worst:.3e} above {_ANALYTIC_THRESHOLD}", file=sys.stderr)
         return 1
     return 0
 
 
-def _chain_times(args, cfg: dict, params: SystemParams):
-    """Returns (t1, t2, auto_comment_or_None)."""
-    times = _protocol(cfg).get("times", "auto")
-    if times == "auto":
-        window = _search_window(args, cfg, params)
-        grid = args.grid if args.grid is not None else _protocol(cfg).get("grid")
-        r1 = _resolved_time(params, "end", window, grid)
-        r2 = _resolved_time(params, "mid", window, grid)
-        return r1.t_star, r2.t_star, f"# times t1={r1.t_star:.12g} t2={r2.t_star:.12g}"
-    if isinstance(times, (list, tuple)) and len(times) == 2:
-        return _positive_time(times[0], "t1"), _positive_time(times[1], "t2"), None
-    raise ConfigError(f"chain 'times' must be \"auto\" or [t1, t2], got {times!r}")
+def _trace_fields(trace: TraceResult, **extra) -> dict:
+    fidelity, phase = trace.final_population, trace.final_phase
+    return {"t_total": trace.total_time, "fidelity": fidelity, "phase": phase, **extra}
 
 
-def _report(trace: TraceResult, extra: str = "") -> None:
-    print(
-        f"t_total={trace.total_time:.12g} fidelity={trace.final_population:.12g} "
-        f"phase={trace.final_phase:.12g}" + extra
-    )
-
-
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    _require_topology(cfg, "diamond_chain")
-    params = _config_params(cfg)
+def _run_chain(cfg: dict, proto: dict, params: SystemParams, times, samples: int):
+    """end-to-end diamond-chain transfer"""
     n = _chain_size(cfg)
-    t1, t2, comment = _chain_times(args, cfg, params)
-    spec = build_diamond_chain(n, params)
-    schedule = chain_routing_schedule(n, t1, t2)
-    trace = run_schedule(spec, schedule, samples_per_window=_samples_per_window(args, cfg))
-    _report(trace)
-    if comment:
-        print(comment.lstrip("# "))
-    out = _out_path(args, cfg)
-    if out:
-        emit_trace_csv(trace, out, extra_comments=(comment,) if comment else ())
-    if args.strict and trace.final_population < 0.99:
-        print(f"strict: final fidelity {trace.final_population:.6f} below 0.99", file=sys.stderr)
-        return 1
-    return 0
+    schedule = chain_routing_schedule(n, *times)
+    trace = run_schedule(build_diamond_chain(n, params), schedule, samples_per_window=samples)
+    return trace, _trace_fields(trace)
 
 
-def _cmd_switch(args) -> int:
-    cfg = _load_config(args.config)
-    _require_topology(cfg, "switch")
-    params = _config_params(cfg)
-    proto = _protocol(cfg)
-    port = proto.get("port")
-    if port not in (1, 2, 3):
-        raise ConfigError(f"switch 'port' must be 1, 2, or 3, got {port!r}")
-    times = proto.get("times", "auto")
-    comment = None
-    if times == "auto":
-        window = _search_window(args, cfg, params)
-        grid = args.grid if args.grid is not None else proto.get("grid")
-        r = _resolved_time(params, "upload", window, grid)
-        t = r.t_star
-        comment = f"# times t={t:.12g}"
-    else:
-        t = _positive_time(times[0] if isinstance(times, (list, tuple)) else times, "t")
+def _run_switch(cfg: dict, proto: dict, params: SystemParams, times, samples: int):
+    """steer through the four-port switch"""
+    port = _count(proto.get("port"), "switch 'port'", 1, 3)
     spec = build_switch(params)
-    schedule = switch_schedule(port, t)
     track = [(f"atom[{spec.sites[k].label}]", 2 * k + 1) for k in range(4)]
-    trace = run_schedule(
-        spec, schedule, samples_per_window=_samples_per_window(args, cfg), track=track
-    )
-    leakage = sum(
-        site_population(trace.final_state, k, "atom") for k in (1, 2, 3) if k != port
-    )
-    _report(trace, extra=f" leakage={leakage:.6e}")
-    if comment:
-        print(comment.lstrip("# "))
-    out = _out_path(args, cfg)
-    if out:
-        emit_trace_csv(trace, out, extra_comments=(comment,) if comment else ())
-    if args.strict and (trace.final_population < 0.99 or leakage > 1e-6):
-        print(
-            f"strict: fidelity {trace.final_population:.6f} / leakage {leakage:.3e} "
-            "outside 0.99 / 1e-6",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    schedule = switch_schedule(port, *times)
+    trace = run_schedule(spec, schedule, samples_per_window=samples, track=track)
+    leakage = sum(site_population(trace.final_state, k, "atom") for k in (1, 2, 3) if k != port)
+    return trace, _trace_fields(trace, leakage=leakage)
 
 
-def _cmd_route(args) -> int:
-    cfg = _load_config(args.config)
-    _require_topology(cfg, "hex_lattice")
-    params = _config_params(cfg)
+def _run_route(cfg: dict, proto: dict, params: SystemParams, times, samples: int):
+    """route along a lattice vertex path"""
     desc = _descriptor(cfg)
-    proto = _protocol(cfg)
     path = proto.get("path")
     if not isinstance(path, list) or len(path) < 2:
         raise ConfigError("hex route needs a 'path' list of at least two vertices")
-    times = proto.get("times", "auto")
-    comment = None
-    if times == "auto":
-        window = _search_window(args, cfg, params)
-        grid = args.grid if args.grid is not None else proto.get("grid")
-        r_up = _resolved_time(params, "upload", window, grid)
-        r_hop = _resolved_time(params, "hop", window, grid)
-        t_up, t_hop = r_up.t_star, r_hop.t_star
-        comment = f"# times t_upload={t_up:.12g} t_hop={t_hop:.12g}"
-    elif isinstance(times, (list, tuple)) and len(times) == 2:
-        t_up = _positive_time(times[0], "t_upload")
-        t_hop = _positive_time(times[1], "t_hop")
-    else:
-        raise ConfigError(f"hex 'times' must be \"auto\" or [t_upload, t_hop], got {times!r}")
-    spec = build_hex_lattice(desc, params)
-    schedule = hex_routing_schedule(desc, path, t_up, t_hop)
-    trace = run_schedule(spec, schedule, samples_per_window=_samples_per_window(args, cfg))
-    _report(trace)
-    if comment:
-        print(comment.lstrip("# "))
-    out = _out_path(args, cfg)
-    if out:
-        emit_trace_csv(trace, out, extra_comments=(comment,) if comment else ())
-    if args.strict and trace.final_population < 0.99:
-        print(f"strict: final fidelity {trace.final_population:.6f} below 0.99", file=sys.stderr)
-        return 1
-    return 0
+    schedule = hex_routing_schedule(desc, path, *times)
+    trace = run_schedule(build_hex_lattice(desc, params), schedule, samples_per_window=samples)
+    return trace, _trace_fields(trace)
 
 
-def _cmd_entangle(args) -> int:
-    cfg = _load_config(args.config)
-    _require_topology(cfg, "diamond_chain")
-    params = _config_params(cfg)
+def _run_entangle(cfg: dict, proto: dict, params: SystemParams, times, samples: int):
+    """entanglement transfer on a chain"""
     n = _chain_size(cfg)
-    compensate = _protocol(cfg).get("compensate", True)
+    compensate = proto.get("compensate", True)
     if not isinstance(compensate, bool):
         raise ConfigError(f"'compensate' must be a boolean, got {compensate!r}")
-    t1, t2, comment = _chain_times(args, cfg, params)
-    spec = build_diamond_chain(n, params)
-    schedule = chain_routing_schedule(n, t1, t2)
-    result = entanglement_transfer(
-        spec, schedule, compensate=compensate, samples_per_window=_samples_per_window(args, cfg)
-    )
-    print(
-        f"t_total={result.trace.total_time:.12g} "
-        f"bell_fidelity={result.bell_fidelity:.12g} "
-        f"compensation_phase={result.compensation_phase:.12g} "
-        f"transfer_amplitude={abs(result.amplitude):.12g}"
-    )
-    if comment:
-        print(comment.lstrip("# "))
-    out = _out_path(args, cfg)
+    spec, schedule = build_diamond_chain(n, params), chain_routing_schedule(n, *times)
+    result = entanglement_transfer(spec, schedule, compensate, samples_per_window=samples)
+    return result.trace, {
+        "t_total": result.trace.total_time,
+        "bell_fidelity": result.bell_fidelity,
+        "compensation_phase": result.compensation_phase,
+        "transfer_amplitude": abs(result.amplitude),
+    }
+
+
+class _Protocol(NamedTuple):
+    topology: str
+    blocks: tuple[str, ...]  # blocks whose transfer peaks resolve "times": "auto"
+    times: tuple[str, ...]  # names of the times, in the order the schedule takes them
+    run: Callable  # (cfg, protocol, params, times, samples) -> (trace, report); doc = help
+    footer: tuple[str, str] = ("fidelity", "phase")  # CSV footer fields; --strict gates the first
+
+
+_PROTOCOLS = {
+    "simulate": _Protocol("diamond_chain", ("end", "mid"), ("t1", "t2"), _run_chain),
+    "switch": _Protocol("switch", ("upload",), ("t",), _run_switch),
+    "route": _Protocol("hex_lattice", ("upload", "hop"), ("t_upload", "t_hop"), _run_route),
+    "entangle": _Protocol(
+        "diamond_chain",
+        ("end", "mid"),
+        ("t1", "t2"),
+        _run_entangle,
+        footer=("bell_fidelity", "compensation_phase"),
+    ),
+}
+
+#: report fields not printed with 12 significant digits
+_FORMATS = {"leakage": ".6e"}
+
+
+def _protocol_times(args, cfg: dict, params: SystemParams, protocol: _Protocol):
+    """Returns (times, "times ..." report line or None for explicit times)."""
+    times = _section(cfg, "protocol").get("times", "auto")
+    if times == "auto":
+        found = []
+        for which in protocol.blocks:
+            block = extract_block(params, which)
+            found.append(_find_peak(block, *_TRANSFER_PAIRS[block.dim], args, cfg, params).t_star)
+        names = " ".join(f"{name}={t:.12g}" for name, t in zip(protocol.times, found))
+        return tuple(found), f"times {names}"
+    if len(protocol.times) == 1 and not isinstance(times, list):
+        times = [times]
+    if not (isinstance(times, list) and len(times) == len(protocol.times)):
+        shape = ", ".join(protocol.times)
+        raise ConfigError(f"'times' must be \"auto\" or [{shape}], got {times!r}")
+    return tuple(_real(t, name) for name, t in zip(protocol.times, times)), None
+
+
+def _cmd_protocol(args) -> int:
+    protocol = _PROTOCOLS[args.command]
+    cfg = _load_config(args.config)
+    _require_topology(cfg, protocol.topology)
+    params = _config_params(cfg)
+    samples, out = _output(args, cfg)
+    times, resolved = _protocol_times(args, cfg, params, protocol)
+    trace, fields = protocol.run(cfg, _section(cfg, "protocol"), params, times, samples)
+    _check_finite(**fields, trace=trace.norms)
+    print(" ".join(f"{key}={value:{_FORMATS.get(key, '.12g')}}" for key, value in fields.items()))
+    if resolved:
+        print(resolved)
+    fidelity, phase = (fields[key] for key in protocol.footer)
     if out:
-        emit_trace_csv(
-            result.trace,
-            out,
-            fidelity=result.bell_fidelity,
-            phase=result.compensation_phase,
-            extra_comments=(comment,) if comment else (),
+        comments = (f"# {resolved}",) if resolved else ()
+        emit_trace_csv(trace, out, fidelity=fidelity, phase=phase, extra_comments=comments)
+    leakage = fields.get("leakage", 0.0)
+    if args.strict and not (fidelity >= _FIDELITY_FLOOR and _LEAKAGE_CEILING >= leakage):
+        print(
+            f"strict: {protocol.footer[0]} {fidelity:.6f} / leakage {leakage:.3e} "
+            f"outside {_FIDELITY_FLOOR} / {_LEAKAGE_CEILING}",
+            file=sys.stderr,
         )
-    if args.strict and result.bell_fidelity < 0.99:
-        print(f"strict: Bell fidelity {result.bell_fidelity:.6f} below 0.99", file=sys.stderr)
         return 1
     return 0
 
@@ -496,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "transfer-time", parents=[common], help="locate a transfer peak on one block"
     )
-    p.add_argument("--block", help="block selector (end, mid, upload, hop, ...)")
+    p.add_argument("--block", help="end, mid, upload or hop (default: the config's block, or end)")
     p.add_argument("--source", type=int, help="source basis index")
     p.add_argument("--target", type=int, help="target basis index")
     p.set_defaults(handler=_cmd_transfer_time)
@@ -508,17 +481,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_validate_analytic)
 
-    p = sub.add_parser("simulate", parents=[common], help="end-to-end diamond-chain transfer")
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("switch", parents=[common], help="steer through the four-port switch")
-    p.set_defaults(handler=_cmd_switch)
-
-    p = sub.add_parser("route", parents=[common], help="route along a lattice vertex path")
-    p.set_defaults(handler=_cmd_route)
-
-    p = sub.add_parser("entangle", parents=[common], help="entanglement transfer on a chain")
-    p.set_defaults(handler=_cmd_entangle)
+    for name, protocol in _PROTOCOLS.items():
+        p = sub.add_parser(name, parents=[common], help=protocol.run.__doc__)
+        p.set_defaults(handler=_cmd_protocol)
     return parser
 
 
@@ -526,18 +491,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # domain validation rejected a config-derived value
+        # non-finite results are caught by _check_finite, not by numpy warnings
+        with np.errstate(all="ignore"):
+            return args.handler(args)
+    except (ConfigError, ValueError) as exc:
+        # ValueError: domain validation rejected a config-derived value
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 1
 

@@ -175,30 +175,22 @@ def chain_collective_basis(n: int) -> OrthogonalTransform:
     return OrthogonalTransform(np.array(rows), tuple(labels), tuple(groups))
 
 
-def switch_collective_basis(
-    inner_sites: tuple[int, int, int, int] = (4, 5, 6, 7),
-    num_sites: int = 8,
-    outer_sites: tuple[int, int, int, int] = (0, 1, 2, 3),
-) -> OrthogonalTransform:
-    """Collective basis of one switching vertex.
+def switch_collective_basis() -> OrthogonalTransform:
+    """Collective basis of the switching vertex built by ``build_switch``.
 
-    The four inner modes are replaced by Hadamard-weighted combinations
-    ``xi_i = sum_k HADAMARD_SIGNS[i][k] |mu_k> / 2``; outer sites pass
-    through.  Block ``port i`` holds ``(nu_i.c, nu_i.a, xi_i.c, xi_i.a)``
-    and couples ``nu_i`` to ``xi_i`` with strength ``2j``.
+    The four inner modes (ids 4-7) are replaced by Hadamard-weighted
+    combinations ``xi_i = sum_k HADAMARD_SIGNS[i][k] |mu_k> / 2``; the outer
+    sites ``nu_i`` (ids 0-3) pass through.  Block ``port i`` holds
+    ``(nu_i.c, nu_i.a, xi_i.c, xi_i.a)`` and couples ``nu_i`` to ``xi_i``
+    with strength ``2j``.
     """
-    if len(set(inner_sites)) != 4 or len(set(outer_sites)) != 4:
-        raise ValueError("four distinct inner and outer sites required")
-    dim = 2 * num_sites
-    for site in (*inner_sites, *outer_sites):
-        if not 0 <= site < num_sites:
-            raise ValueError(f"site {site} outside 0..{num_sites - 1}")
+    dim = 16
     rows: list[np.ndarray] = []
     labels: list[str] = []
     groups: list[tuple[str, tuple[int, ...]]] = []
     for i in range(4):
         start = len(rows)
-        for index, tag in ((cavity_index(outer_sites[i]), "c"), (atom_index(outer_sites[i]), "a")):
+        for index, tag in ((cavity_index(i), "c"), (atom_index(i), "a")):
             row = np.zeros(dim)
             row[index] = 1.0
             rows.append(row)
@@ -206,7 +198,7 @@ def switch_collective_basis(
         for pick, tag in ((cavity_index, "c"), (atom_index, "a")):
             row = np.zeros(dim)
             for k in range(4):
-                row[pick(inner_sites[k])] = HADAMARD_SIGNS[i][k] / 2.0
+                row[pick(4 + k)] = HADAMARD_SIGNS[i][k] / 2.0
             rows.append(row)
             labels.append(f"xi{i}.{tag}")
         groups.append((f"port{i}", tuple(range(start, len(rows)))))
@@ -332,33 +324,29 @@ def _trio_block(params: SystemParams, kappa: float) -> np.ndarray:
     return h
 
 
-#: Selector -> (canonical name, block builder, coupling scale).
-_BLOCK_SELECTORS = {
-    "end": ("end", _pair_block, CHAIN_COUPLING_SCALE),
-    "first": ("end", _pair_block, CHAIN_COUPLING_SCALE),
-    "last": ("end", _pair_block, CHAIN_COUPLING_SCALE),
-    "mid": ("mid", _trio_block, CHAIN_COUPLING_SCALE),
-    "middle": ("mid", _trio_block, CHAIN_COUPLING_SCALE),
-    "interior": ("mid", _trio_block, CHAIN_COUPLING_SCALE),
-    "upload": ("upload", _pair_block, LATTICE_COUPLING_SCALE),
-    "port": ("upload", _pair_block, LATTICE_COUPLING_SCALE),
-    "port0": ("upload", _pair_block, LATTICE_COUPLING_SCALE),
-    "port1": ("upload", _pair_block, LATTICE_COUPLING_SCALE),
-    "port2": ("upload", _pair_block, LATTICE_COUPLING_SCALE),
-    "port3": ("upload", _pair_block, LATTICE_COUPLING_SCALE),
-    "hop": ("hop", _trio_block, LATTICE_COUPLING_SCALE),
-    "link": ("hop", _trio_block, LATTICE_COUPLING_SCALE),
+#: Block name -> (block builder, coupling scale).
+_BLOCKS = {
+    "end": (_pair_block, CHAIN_COUPLING_SCALE),
+    "mid": (_trio_block, CHAIN_COUPLING_SCALE),
+    "upload": (_pair_block, LATTICE_COUPLING_SCALE),
+    "hop": (_trio_block, LATTICE_COUPLING_SCALE),
 }
+
+
+def _block_kind(which: str):
+    if not (isinstance(which, str) and which in _BLOCKS):
+        raise ValueError(f"unknown block name {which!r}; known: {', '.join(_BLOCKS)}")
+    return _BLOCKS[which]
 
 
 def extract_block(spec: NetworkSpec | SystemParams, which: str) -> BlockHamiltonian:
     """Build one block matrix directly from the physical parameters.
 
-    Selectors (case-insensitive): ``end`` (chain sender/receiver block, 4x4,
-    coupling ``sqrt(2) j``), ``mid`` (chain relay block, 6x6, same coupling),
-    ``upload``/``portK`` (switch or lattice port block, 4x4, coupling
-    ``2j``), ``hop`` (lattice link block, 6x6, coupling ``2j``).  Unknown
-    selectors raise ``ValueError``.
+    Block names: ``end`` (chain sender/receiver block, 4x4, coupling
+    ``sqrt(2) j``), ``mid`` (chain relay block, 6x6, same coupling),
+    ``upload`` (switch or lattice port block, 4x4, coupling ``2j``), ``hop``
+    (lattice link block, 6x6, coupling ``2j``).  Any other name raises
+    ``ValueError``.
 
     The result matches the corresponding sub-matrix of a full
     ``block_decompose`` to rounding accuracy; blocks built here are handy for
@@ -367,24 +355,15 @@ def extract_block(spec: NetworkSpec | SystemParams, which: str) -> BlockHamilton
     params = spec.params if isinstance(spec, NetworkSpec) else spec
     if not isinstance(params, SystemParams):
         raise ValueError("spec must be a NetworkSpec or SystemParams")
-    try:
-        name, builder, scale = _BLOCK_SELECTORS[which.strip().lower()]
-    except (KeyError, AttributeError):
-        known = sorted(set(_BLOCK_SELECTORS))
-        raise ValueError(f"unknown block selector {which!r}; known: {known}") from None
+    builder, scale = _block_kind(which)
     matrix = builder(params, scale * params.j)
     cells = matrix.shape[0] // 2
     labels = tuple(f"{tag}{cell}" for cell in range(cells) for tag in ("cav", "atom"))
-    return BlockHamiltonian(matrix=matrix, labels=labels, name=name)
+    return BlockHamiltonian(matrix=matrix, labels=labels, name=which)
 
 
 def block_coupling(params: NetworkSpec | SystemParams, which: str) -> float:
     """Cavity-cavity coupling inside the block named by ``which``."""
     if isinstance(params, NetworkSpec):
         params = params.params
-    try:
-        _, _, scale = _BLOCK_SELECTORS[which.strip().lower()]
-    except (KeyError, AttributeError):
-        known = sorted(set(_BLOCK_SELECTORS))
-        raise ValueError(f"unknown block selector {which!r}; known: {known}") from None
-    return scale * params.j
+    return _block_kind(which)[1] * params.j

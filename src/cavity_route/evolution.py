@@ -8,14 +8,13 @@ whole grid of times be evaluated with one decomposition.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .collective import BlockHamiltonian
+from .network import ARRAY_BUDGET
 
 __all__ = [
     "ExcitationState",
@@ -30,8 +29,8 @@ __all__ = [
     "auto_grid_points",
 ]
 
-#: Points per evaluation chunk of a grid scan.  Fixed so that results are
-#: bit-identical no matter how many worker threads evaluate the chunks.
+#: Points per evaluation chunk of a grid scan; bounds the ``points x dim``
+#: complex intermediate of a scan, whatever the grid size.
 _CHUNK = 65536
 
 #: Refined peaks are kept while scanning if their grid fidelity is within
@@ -153,32 +152,14 @@ def propagate(spectrum: Spectrum, state: ExcitationState, t: float) -> Excitatio
 
 
 def _amp_on_grid(weights: np.ndarray, eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``sum_k w_k exp(-i lambda_k t)`` for every t, chunked and optionally threaded."""
+    """``sum_k w_k exp(-i lambda_k t)`` for every t, ``_CHUNK`` points at a time."""
     times = np.asarray(times, dtype=float)
     out = np.empty(times.shape[0], dtype=complex)
-    chunks = range(0, times.shape[0], _CHUNK)
-
-    def fill(start: int) -> None:
-        stop = min(start + _CHUNK, times.shape[0])
-        block = np.exp(np.outer(times[start:stop], -1j * eigenvalues))
-        out[start:stop] = block @ weights
-
-    threads = _thread_count()
-    if threads > 1 and times.shape[0] > _CHUNK:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, chunks))
-    else:
-        for start in chunks:
-            fill(start)
+    for start in range(0, times.shape[0], _CHUNK):
+        # no name for the exp block: it must be freed before the next chunk's
+        chunk = times[start : start + _CHUNK]
+        out[start : start + _CHUNK] = np.exp(np.outer(chunk, -1j * eigenvalues)) @ weights
     return out
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CAVITY_ROUTE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def transition_amplitudes(
@@ -293,10 +274,10 @@ def find_transfer_time(
     window : (float, float)
         Search interval; must be non-empty.
     grid_points : int
-        Scan resolution.  The default resolves the resonant default blocks;
-        wide dispersive windows deserve a denser grid (the refinement stage
-        tolerates an undersampled scan, but candidate selection is only as
-        good as the grid).
+        Scan resolution, at most ``ARRAY_BUDGET``.  The default resolves the
+        resonant default blocks; wide dispersive windows deserve a denser grid
+        (the refinement stage tolerates an undersampled scan, but candidate
+        selection is only as good as the grid).
     refine_tol : float
         Time tolerance of the peak refinement.
 
@@ -309,8 +290,8 @@ def find_transfer_time(
     t_lo, t_hi = float(window[0]), float(window[1])
     if not (t_hi > t_lo):
         raise ValueError(f"empty search window {window!r}")
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be >= 3, got {grid_points}")
+    if not 3 <= grid_points <= ARRAY_BUDGET:
+        raise ValueError(f"grid_points must be in [3, {ARRAY_BUDGET}], got {grid_points}")
     if refine_tol <= 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     spectrum = eigendecompose(h)
@@ -322,6 +303,8 @@ def find_transfer_time(
 
     ts = np.linspace(t_lo, t_hi, grid_points)
     f = np.abs(_amp_on_grid(weights, spectrum.eigenvalues, ts)) ** 2
+    if not np.isfinite(f).all():
+        raise FloatingPointError(f"non-finite transfer fidelity on the scan over {window!r}")
     interior = np.flatnonzero((f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:])) + 1
     if interior.size == 0:
         interior = np.array([int(np.argmax(f[1:-1])) + 1])
@@ -357,7 +340,8 @@ def auto_grid_points(
     Returns at least ``floor`` points, and enough for ``per_period`` samples
     per period of the largest eigenvalue gap.  The default grid of
     ``find_transfer_time`` badly undersamples wide windows in the strongly
-    detuned regime; feed it this instead.
+    detuned regime; feed it this instead.  A grid above ``ARRAY_BUDGET``
+    points raises ``ValueError``.
     """
     if per_period < 2:
         raise ValueError(f"per_period must be >= 2, got {per_period}")
@@ -366,5 +350,8 @@ def auto_grid_points(
         raise ValueError(f"empty search window {window!r}")
     eigenvalues = eigendecompose(h).eigenvalues
     spread = float(eigenvalues[-1] - eigenvalues[0])
-    needed = int(np.ceil(span * spread * per_period / (2.0 * np.pi))) + 1
-    return max(floor, needed)
+    needed = span * spread * per_period / (2.0 * np.pi)
+    # compared as a float: a huge window or spread would overflow the int cast
+    if not needed < ARRAY_BUDGET:
+        raise ValueError(f"a grid of {needed:.3g} points exceeds the budget of {ARRAY_BUDGET}")
+    return max(floor, int(np.ceil(needed)) + 1)

@@ -26,8 +26,8 @@ ids are 0-based.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
-from math import isfinite
 
 import numpy as np
 
@@ -61,6 +61,11 @@ HADAMARD_SIGNS = (
 )
 
 SITE_ROLES = ("vertex", "control", "port", "upload", "plain")
+
+#: Most elements any one array may hold, checked before allocating: a dense
+#: Hamiltonian (``dim x dim``), a scan grid, or one evolution window (``dim x
+#: samples``).  2**24 float64 are 128 MB; the dispersive scan (~772k) is < 5%.
+ARRAY_BUDGET = 2**24
 
 
 def cavity_index(site: int) -> int:
@@ -97,9 +102,11 @@ class SystemParams:
     j: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("omega_c", "delta", "g", "j"):
+        for name in ("omega_c", "delta", "g", "j", "omega_a"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not isfinite(value):
+            # the bound refuses nan, inf and ints beyond the float range
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and abs(value) <= sys.float_info.max):
                 raise ValueError(f"parameter {name!r} must be a finite number, got {value!r}")
         if self.g <= 0:
             raise ValueError(f"coupling g must be positive, got {self.g}")
@@ -144,8 +151,8 @@ class Site:
     role: str = "plain"
 
     def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"site id must be >= 0, got {self.id}")
+        if isinstance(self.id, bool) or not isinstance(self.id, int) or self.id < 0:
+            raise ValueError(f"site id must be an integer >= 0, got {self.id!r}")
         if self.role not in SITE_ROLES:
             raise ValueError(f"unknown site role {self.role!r}")
 
@@ -219,11 +226,14 @@ class NetworkSpec:
         missing = {"sites", "edges", "params"} - set(data)
         if missing:
             raise ValueError(f"network spec missing keys: {sorted(missing)}")
-        sites = tuple(
-            Site(id=s["id"], label=s["label"], role=s.get("role", "plain"))
-            for s in data["sites"]
-        )
-        edges = tuple((int(k), int(l), int(sign)) for k, l, sign in data["edges"])
+        try:
+            sites = tuple(
+                Site(id=s["id"], label=s["label"], role=s.get("role", "plain"))
+                for s in data["sites"]
+            )
+            edges = tuple((int(k), int(l), int(sign)) for k, l, sign in data["edges"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed network spec: {exc}") from exc
         return cls(sites=sites, edges=edges, params=SystemParams.from_json_dict(data["params"]))
 
     def dumps(self) -> str:
@@ -481,10 +491,13 @@ def build_single_excitation_hamiltonian(spec: NetworkSpec) -> np.ndarray:
     numpy.ndarray
         ``(2M, 2M)`` float64 matrix.  Diagonal: ``omega_c`` on cavity rows,
         ``omega_c - delta`` on atom rows.  Off-diagonal: ``g`` between each
-        site's cavity and atom, ``sign * j`` between edge cavities.
+        site's cavity and atom, ``sign * j`` between edge cavities.  A matrix
+        above ``ARRAY_BUDGET`` elements raises ``ValueError``.
     """
     p = spec.params
     dim = spec.dim
+    if dim * dim > ARRAY_BUDGET:
+        raise ValueError(f"a {dim}-mode Hamiltonian exceeds the budget of {ARRAY_BUDGET} elements")
     h = np.zeros((dim, dim))
     for site in spec.sites:
         c, a = cavity_index(site.id), atom_index(site.id)

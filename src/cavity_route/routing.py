@@ -21,6 +21,7 @@ import numpy as np
 
 from .evolution import ExcitationState, Spectrum, eigendecompose
 from .network import (
+    ARRAY_BUDGET,
     HADAMARD_SIGNS,
     HexLatticeDescriptor,
     NetworkSpec,
@@ -156,17 +157,15 @@ def _port_flip_sites(inner_sites, port_from: int, port_to: int) -> tuple[int, ..
     )
 
 
-def switch_port_flip(
-    port_from: int, port_to: int, inner_sites: tuple[int, int, int, int] = (4, 5, 6, 7)
-) -> PhaseFlip:
+def switch_port_flip(port_from: int, port_to: int) -> PhaseFlip:
     """Flip that steers the collective mode of one port onto another.
 
-    Flipping the atoms where the two Hadamard rows disagree maps
-    ``xi[port_from]`` onto ``xi[port_to]`` (and vice versa), so an excitation
-    parked in the upload block continues its transfer toward the chosen
-    delivery port.
+    Flipping the inner atoms of ``build_switch`` (ids 4-7) where the two
+    Hadamard rows disagree maps ``xi[port_from]`` onto ``xi[port_to]`` (and
+    vice versa), so an excitation parked in the upload block continues its
+    transfer toward the chosen delivery port.
     """
-    return PhaseFlip(atom_sites=_port_flip_sites(inner_sites, port_from, port_to))
+    return PhaseFlip(atom_sites=_port_flip_sites((4, 5, 6, 7), port_from, port_to))
 
 
 def switch_schedule(port: int, t: float) -> Schedule:
@@ -291,10 +290,13 @@ def run_schedule(
     per evolution window (window edges included; the duplicate sample at a
     window joint is dropped since instantaneous flips do not change any
     population).  ``track`` is an optional list of ``(label, mode_index)``
-    pairs; by default the source and target atoms are tracked.
+    pairs; by default the source and target atoms are tracked.  A window may
+    hold at most ``ARRAY_BUDGET`` amplitudes (``samples_per_window x dim``).
     """
     if samples_per_window < 2:
         raise ValueError(f"samples_per_window must be >= 2, got {samples_per_window}")
+    if samples_per_window * spec.dim > ARRAY_BUDGET:
+        raise ValueError(f"{samples_per_window} samples x {spec.dim} modes exceed {ARRAY_BUDGET}")
     src = _mode_index(spec, *schedule.source)
     tgt = _mode_index(spec, *schedule.target)
     if initial is None:

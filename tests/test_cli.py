@@ -397,3 +397,112 @@ class TestErrorPaths:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("blocks: 4,4")
+
+
+CHAIN = {"topology": "diamond_chain", "n": 2, "params": PARAMS, "output": {"samples_per_window": 5}}
+SWITCH = {"topology": "switch", "params": PARAMS, "protocol": {"port": 2}}
+HEX_ROUTE = {
+    "topology": "hex_lattice",
+    "descriptor": {"vertices": ["a", "b"], "links": [["a", 1, "b", 1]], "uploads": ["a", "b"]},
+    "params": PARAMS,
+    "protocol": {"path": ["a", "b"]},
+}
+
+
+def _with(base, **changes):
+    cfg = json.loads(json.dumps(base))
+    for key, value in changes.items():
+        section, _, field = key.partition("__")
+        if field:
+            cfg.setdefault(section, {})[field] = value
+        else:
+            cfg[section] = value
+    return cfg
+
+
+def run_failing(tmp_path, capsys, command, cfg, *flags):
+    """Run one config that must fail; returns (code, the single stderr line)."""
+    out_file = tmp_path / "trace.csv"
+    cfg = _with(cfg)
+    if isinstance(cfg.get("output"), dict):
+        cfg["output"].setdefault("path", str(out_file))
+    path = write_config(tmp_path, "c.json", cfg)
+    code, out, err = run_main(capsys, [command, "--config", path, *flags])
+    assert out == ""
+    assert not out_file.exists()
+    assert len(err.splitlines()) == 1, err
+    return code, err
+
+
+class TestNonFiniteResults:
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("simulate", _with(CHAIN, protocol__times=[1e308, 1e308])),
+            ("entangle", _with(CHAIN, protocol__times=[1e308, 1e308])),
+            ("switch", _with(SWITCH, protocol__times=[1e308])),
+            ("route", _with(HEX_ROUTE, protocol__times=[1e308, 1e308])),
+        ],
+    )
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_protocol_times_overflow(self, tmp_path, capsys, command, cfg, strict):
+        code, err = run_failing(tmp_path, capsys, command, cfg, *strict)
+        assert code == 1
+        assert err.startswith("numerical error: non-finite")
+
+    def test_validate_analytic_huge_window(self, tmp_path, capsys):
+        # max(0.0, nan) is 0.0: the worst error once read 0 and passed --strict
+        code, err = run_failing(
+            tmp_path, capsys, "validate-analytic", {"params": PARAMS}, "--tmax", "1e308", "--strict"
+        )
+        assert code == 1
+        assert err.startswith("numerical error")
+
+    def test_transfer_time_huge_window(self, tmp_path, capsys):
+        flags = ["--tmax", "1e308", "--grid", "9"]
+        code, err = run_failing(tmp_path, capsys, "transfer-time", {"params": PARAMS}, *flags)
+        assert code == 1
+        assert err.startswith("numerical error")
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize(
+        "command, cfg, flags",
+        [
+            ("switch", _with(SWITCH, protocol__times=[]), []),
+            ("switch", _with(SWITCH, protocol__times=[T_UPLOAD, 99]), []),
+            ("switch", _with(SWITCH, protocol__times=T_UPLOAD, protocol__port=True), []),
+            ("simulate", _with(CHAIN, protocol__grid=[1]), []),
+            ("simulate", _with(CHAIN, protocol__grid="x"), []),
+            ("simulate", _with(CHAIN, grid=2), []),  # the top-level grid is read too
+            ("route", _with(HEX_ROUTE, protocol__grid=True), []),
+            ("simulate", _with(CHAIN, protocol__window=[None, 3]), []),
+            ("entangle", _with(CHAIN, window=[0.0, float("nan")]), []),
+            ("simulate", _with(CHAIN, output__samples_per_window=[3]), []),
+            ("simulate", _with(CHAIN, protocol__times=[T1, T2], output__path=True), []),
+            ("simulate", _with(CHAIN, n=True, protocol__times=[T1, T2]), []),
+            ("simulate", _with(CHAIN, params__g=True, protocol__times=[T1, T2]), []),
+            ("simulate", _with(CHAIN, n=10**6, protocol__times=[T1, T2]), []),
+            ("simulate", _with(CHAIN, protocol__times=[T1, T2]), ["--samples", "2000000000"]),
+            ("simulate", _with(CHAIN, params__delta=1e300), []),
+            ("simulate", CHAIN, ["--tmax", "1e308"]),
+            ("validate-analytic", {"params": PARAMS, "samples": [3]}, []),
+            ("validate-analytic", {"params": PARAMS, "samples": 2_000_000_000}, []),
+            ("transfer-time", {"params": PARAMS}, ["--tmax", "1e308"]),
+            ("transfer-time", {"params": PARAMS, "block": "first"}, []),
+            ("transfer-time", {"params": {"delta": 1e300}}, []),
+        ],
+    )
+    def test_rejected_with_one_line(self, tmp_path, capsys, command, cfg, flags):
+        code, err = run_failing(tmp_path, capsys, command, cfg, *flags)
+        assert code == 2
+        assert err.startswith("config error: ")
+
+    def test_top_level_grid_matches_protocol_grid(self, tmp_path, capsys):
+        outputs = []
+        for cfg in (_with(CHAIN, grid=8001), _with(CHAIN, protocol__grid=8001)):
+            path = write_config(tmp_path, "c.json", cfg)
+            code, out, _ = run_main(capsys, ["simulate", "--config", path])
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]

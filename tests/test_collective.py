@@ -124,15 +124,12 @@ class TestExtractBlock:
             extract_block(RESONANT, "sideways")
 
     def test_aliases(self):
-        assert np.array_equal(
-            extract_block(RESONANT, "end").matrix, extract_block(RESONANT, "first").matrix
-        )
-        assert np.array_equal(
-            extract_block(RESONANT, "mid").matrix, extract_block(RESONANT, "interior").matrix
-        )
-        assert np.array_equal(
-            extract_block(RESONANT, "upload").matrix, extract_block(RESONANT, "port2").matrix
-        )
+        # only the four block names are accepted; former aliases are unknown
+        for alias in ("first", "last", "middle", "interior", "port", "port2", "link", "END"):
+            with pytest.raises(ValueError, match="unknown block name"):
+                extract_block(RESONANT, alias)
+            with pytest.raises(ValueError, match="unknown block name"):
+                block_coupling(RESONANT, alias)
 
     def test_accepts_network_spec(self):
         spec = build_diamond_chain(1, DISPERSIVE)

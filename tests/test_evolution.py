@@ -6,6 +6,7 @@ from cavity_route import (
     DISPERSIVE,
     RESONANT,
     ExcitationState,
+    SystemParams,
     auto_grid_points,
     build_diamond_chain,
     build_single_excitation_hamiltonian,
@@ -18,6 +19,7 @@ from cavity_route import (
     site_population,
     transition_amplitudes,
 )
+from cavity_route.network import ARRAY_BUDGET
 
 
 class TestExcitationState:
@@ -199,15 +201,26 @@ class TestAutoGridPoints:
         with pytest.raises(ValueError):
             auto_grid_points(extract_block(RESONANT, "end"), (1.0, 1.0))
 
+    def test_default_dispersive_grid_well_inside_budget(self):
+        n = auto_grid_points(extract_block(DISPERSIVE, "end"), (0.0, 600.0))
+        assert 700_000 < n < ARRAY_BUDGET / 10
 
-class TestThreading:
-    def test_thread_count_matches_serial(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "params, window",
+        [(RESONANT, (0.0, 1e308)), (SystemParams(delta=1e300), (0.0, 600.0))],
+    )
+    def test_budget_refuses_huge_grids(self, params, window):
+        # compared as a float: no OverflowError from an infinite point count
+        with pytest.raises(ValueError, match="budget"):
+            auto_grid_points(extract_block(params, "end"), window)
+
+
+class TestSearchGuards:
+    def test_grid_above_budget(self):
+        with pytest.raises(ValueError, match="grid_points"):
+            find_transfer_time(extract_block(RESONANT, "end"), 1, 3, grid_points=ARRAY_BUDGET + 1)
+
+    def test_non_finite_scan(self):
         h = extract_block(RESONANT, "end")
-        window = (0.0, 10.0)
-        # enough points to span several evaluation chunks
-        n = 150001
-        monkeypatch.delenv("CAVITY_ROUTE_THREADS", raising=False)
-        serial = find_transfer_time(h, 1, 3, window=window, grid_points=n)
-        monkeypatch.setenv("CAVITY_ROUTE_THREADS", "3")
-        threaded = find_transfer_time(h, 1, 3, window=window, grid_points=n)
-        assert serial == threaded  # bit-identical, not just close
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            find_transfer_time(h, 1, 3, window=(0.0, 1e308), grid_points=9)

@@ -40,10 +40,23 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(**bad)
 
-    @pytest.mark.parametrize("bad", [dict(omega_c=float("nan")), dict(delta=float("inf"))])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(omega_c=float("nan")),
+            dict(delta=float("inf")),
+            dict(delta=10**400),  # an int beyond the float range
+            dict(omega_c=1e308, delta=-1e308),  # atom frequency overflows
+        ],
+    )
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
             SystemParams(**bad)
+
+    @pytest.mark.parametrize("name", ["omega_c", "delta", "g", "j"])
+    def test_rejects_bools(self, name):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            SystemParams(**{name: True})
 
     def test_json_round_trip(self):
         p = SystemParams(omega_c=2.0, delta=-5.0, g=10.0, j=0.5)
@@ -266,3 +279,25 @@ class TestHexLayout:
         assert spec.dim == 30
         assert np.allclose(np.diag(h)[0::2], RESONANT.omega_c)
         assert np.allclose(np.diag(h)[1::2], RESONANT.omega_a)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "sites", [None, 3.0, [None], ["x"], [{"label": "a"}], [{"id": "0", "label": "a"}]]
+    )
+    def test_network_spec_sites(self, sites):
+        data = {"sites": sites, "edges": [], "params": RESONANT.to_json_dict()}
+        with pytest.raises(ValueError):
+            NetworkSpec.from_json_dict(data)
+
+    def test_network_spec_edges(self):
+        data = {"sites": [{"id": 0, "label": "a"}], "edges": [5], "params": {}}
+        with pytest.raises(ValueError, match="malformed network spec"):
+            NetworkSpec.from_json_dict(data)
+
+    def test_hamiltonian_above_budget(self, monkeypatch):
+        monkeypatch.setattr("cavity_route.network.ARRAY_BUDGET", 16 * 16)
+        build_single_excitation_hamiltonian(build_switch())  # 16 modes, at the limit
+        monkeypatch.setattr("cavity_route.network.ARRAY_BUDGET", 16 * 16 - 1)
+        with pytest.raises(ValueError, match="budget"):
+            build_single_excitation_hamiltonian(build_switch())

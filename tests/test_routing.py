@@ -262,6 +262,16 @@ class TestRunSchedule:
         assert shifted.final_population == pytest.approx(base.final_population, abs=1e-15)
 
 
+class TestRunScheduleBudget:
+    def test_window_above_budget(self, monkeypatch):
+        spec = build_switch(RESONANT)  # 16 modes
+        schedule = switch_schedule(1, 1.0)
+        monkeypatch.setattr("cavity_route.routing.ARRAY_BUDGET", 16 * 5)
+        assert run_schedule(spec, schedule, samples_per_window=5).num_samples == 9
+        with pytest.raises(ValueError, match="exceed"):
+            run_schedule(spec, schedule, samples_per_window=6)
+
+
 class TestEntanglementTransfer:
     def _setup(self):
         spec = build_diamond_chain(2, RESONANT)
