@@ -3,10 +3,13 @@
 Every subcommand reads a JSON config (``--config``) and prints a short
 machine-parseable report; the protocol subcommands (``simulate``, ``switch``,
 ``route``, ``entangle``) also write a CSV population trace (``--out``).  Exit
-codes: 0 success; 2 config error, also for a request above
+codes: 0 success; 2 config or usage error, also for a request above
 ``network.ARRAY_BUDGET``; 1 numerical failure (a non-finite result always, a
 violated threshold under ``--strict``) or I/O trouble.  Every non-zero exit
 prints one line on stderr.
+
+Each subcommand takes only the flags it reads (see ``--help``); any other
+flag is a usage error.
 
 Config layout::
 
@@ -42,6 +45,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from math import isqrt
 from typing import Callable, NamedTuple
 
@@ -428,7 +432,7 @@ def _cmd_protocol(args) -> int:
     samples, out = _output(args, cfg)
     times, resolved = _protocol_times(args, cfg, params, protocol)
     trace, fields = protocol.run(cfg, _section(cfg, "protocol"), params, times, samples)
-    _check_finite(**fields, trace=trace.norms)
+    _check_finite(**fields)
     print(" ".join(f"{key}={value:{_FORMATS.get(key, '.12g')}}" for key, value in fields.items()))
     if resolved:
         print(resolved)
@@ -447,50 +451,55 @@ def _cmd_protocol(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are config errors: one stderr line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+#: every flag but transfer-time's own; each subcommand gets only the flags it reads
+_FLAGS = {
+    "--config": dict(required=True, help="JSON run configuration"),
+    "--strict": dict(action="store_true", help="exit 1 if a numerical threshold is violated"),
+    "--out": dict(help="output file (CSV trace, or block matrices for 'blocks')"),
+    "--tmax": dict(type=float, help="override the search window as (0, tmax)"),
+    "--grid": dict(type=int, help="scan resolution for transfer-time searches"),
+    "--samples": dict(type=int, help="samples per evolution window in traces"),
+}
+
+
+@cache  # parse_args leaves the parser unchanged; building it costs about 1 ms per call
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="JSON run configuration")
-    common.add_argument("--out", help="output file (CSV trace, or block matrices for 'blocks')")
-    common.add_argument("--tmax", type=float, help="override the search window as (0, tmax)")
-    common.add_argument("--grid", type=int, help="scan resolution for transfer-time searches")
-    common.add_argument("--samples", type=int, help="samples per evolution window in traces")
-    common.add_argument(
-        "--strict", action="store_true", help="exit 1 if a numerical threshold is violated"
-    )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cavity-route",
         description="Simulate perfect single-excitation routing in cavity-atom networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("blocks", parents=[common], help="block sizes and off-block residual")
-    p.set_defaults(handler=_cmd_blocks)
+    def add(name: str, handler: Callable, summary: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for flag in ("--config", "--strict", *flags):
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser(
-        "transfer-time", parents=[common], help="locate a transfer peak on one block"
-    )
+    add("blocks", _cmd_blocks, "block sizes and off-block residual", "--out")
+    summary = "locate a transfer peak on one block"
+    p = add("transfer-time", _cmd_transfer_time, summary, "--tmax", "--grid")
     p.add_argument("--block", help="end, mid, upload or hop (default: the config's block, or end)")
     p.add_argument("--source", type=int, help="source basis index")
     p.add_argument("--target", type=int, help="target basis index")
-    p.set_defaults(handler=_cmd_transfer_time)
-
-    p = sub.add_parser(
-        "validate-analytic",
-        parents=[common],
-        help="closed-form vs numeric propagator, both regimes",
-    )
-    p.set_defaults(handler=_cmd_validate_analytic)
-
+    summary = "closed-form vs numeric propagator, both regimes"
+    add("validate-analytic", _cmd_validate_analytic, summary, "--tmax")
     for name, protocol in _PROTOCOLS.items():
-        p = sub.add_parser(name, parents=[common], help=protocol.run.__doc__)
-        p.set_defaults(handler=_cmd_protocol)
+        add(name, _cmd_protocol, protocol.run.__doc__, "--out", "--tmax", "--grid", "--samples")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         # non-finite results are caught by _check_finite, not by numpy warnings
         with np.errstate(all="ignore"):
             return args.handler(args)

@@ -9,6 +9,7 @@ and verifies that the transformed Hamiltonian is block diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -65,6 +66,10 @@ class OrthogonalTransform:
         covered = sorted(i for _, idx in self.groups for i in idx)
         if covered != list(range(q.shape[0])):
             raise ValueError("groups must partition all rows exactly once")
+        # one fixed probe costs O(dim^2); a dense Q Q^T would cost as much as block_decompose
+        probe = np.sin(np.arange(1.0, q.shape[0] + 1.0))  # no entry vanishes; no numpy.random
+        if not np.abs(q.T @ (q @ probe) - probe).max(initial=0.0) <= 1e-10:
+            raise ValueError("transform rows must be orthonormal")
 
     @property
     def dim(self) -> int:
@@ -99,6 +104,43 @@ class BlockHamiltonian:
         return self.matrix.shape[0]
 
 
+#: ``(label, {mode index: coefficient})`` per collective mode
+Modes = list[tuple[str, dict[int, float]]]
+
+
+def _modes(label: str, coefs: dict[int, float]) -> Modes:
+    """Cavity and atom mode of the site combination ``coefs``.
+
+    The last ``{}`` in ``label`` takes ``c`` or ``a`` (vertex names before it may hold braces).
+    """
+    head, _, tail = label.rpartition("{}")
+    return [
+        (f"{head}{tag}{tail}", {index(site): coef for site, coef in coefs.items()})
+        for tag, index in (("c", cavity_index), ("a", atom_index))
+    ]
+
+
+def _hadamard_modes(label: str, inner, port: int) -> Modes:
+    """Modes ``xi = sum_k HADAMARD_SIGNS[port][k] |inner_k> / 2`` of one vertex port."""
+    return _modes(label, {site: sign / 2.0 for site, sign in zip(inner, HADAMARD_SIGNS[port])})
+
+
+def _transform(dim: int, groups: list[tuple[str, Modes]]) -> OrthogonalTransform:
+    """Dense transform of ``groups``, each ``(name, [(label, {mode: coef}), ...])``.
+
+    Rows are numbered in group order, then mode order inside each group.
+    """
+    modes = [mode for _, members in groups for mode in members]
+    rows = [row for row, (_, coefs) in enumerate(modes) for _ in coefs]
+    cols = [col for _, coefs in modes for col in coefs]
+    vals = [val for _, coefs in modes for val in coefs.values()]
+    q = np.zeros((dim, dim))
+    q[rows, cols] = vals
+    ends = accumulate(len(members) for _, members in groups)
+    index = tuple((name, tuple(range(end - len(m), end))) for (name, m), end in zip(groups, ends))
+    return OrthogonalTransform(q, tuple(label for label, _ in modes), index)
+
+
 def chain_collective_basis(n: int) -> OrthogonalTransform:
     """Collective basis of the diamond chain with ``n`` units.
 
@@ -111,68 +153,15 @@ def chain_collective_basis(n: int) -> OrthogonalTransform:
     """
     if n < 1:
         raise ValueError(f"chain basis needs n >= 1, got {n}")
-    dim = 2 * (3 * n + 1)
     s = 1.0 / np.sqrt(2.0)
-    rows: list[np.ndarray] = []
-    labels: list[str] = []
-    groups: list[tuple[str, tuple[int, ...]]] = []
-
-    def unit_row(index: int) -> np.ndarray:
-        row = np.zeros(dim)
-        row[index] = 1.0
-        return row
-
-    def pair_row(i_first: int, i_second: int, sign: float) -> np.ndarray:
-        row = np.zeros(dim)
-        row[i_first] = s
-        row[i_second] = sign * s
-        return row
-
-    def vertex_rows(k: int) -> tuple[np.ndarray, np.ndarray]:
-        # vertex site of unit k has 0-based id 3k (label 3k+1)
-        site = 3 * k
-        return unit_row(cavity_index(site)), unit_row(atom_index(site))
-
-    def control_rows(k: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
-        # control pair of unit k: ids 3k-2 and 3k-1 (labels 3k-1 and 3k)
-        first, second = 3 * k - 2, 3 * k - 1
-        return (
-            pair_row(cavity_index(first), cavity_index(second), sign),
-            pair_row(atom_index(first), atom_index(second), sign),
-        )
-
-    def add_group(name: str, entries: list[tuple[str, np.ndarray]]) -> None:
-        start = len(rows)
-        for label, row in entries:
-            labels.append(label)
-            rows.append(row)
-        groups.append((name, tuple(range(start, len(rows)))))
-
-    c1, a1 = vertex_rows(0)
-    c1p, a1p = control_rows(1, +1.0)
-    add_group("block1", [("c1", c1), ("a1", a1), ("c1+", c1p), ("a1+", a1p)])
-    for k in range(1, n):
-        cm, am = control_rows(k, -1.0)
-        cv, av = vertex_rows(k)
-        cp, ap = control_rows(k + 1, +1.0)
-        add_group(
-            f"block{k + 1}",
-            [
-                (f"c{k}-", cm),
-                (f"a{k}-", am),
-                (f"c{k + 1}", cv),
-                (f"a{k + 1}", av),
-                (f"c{k + 1}+", cp),
-                (f"a{k + 1}+", ap),
-            ],
-        )
-    cm, am = control_rows(n, -1.0)
-    cv, av = vertex_rows(n)
-    add_group(
-        f"block{n + 1}",
-        [(f"c{n}-", cm), (f"a{n}-", am), (f"c{n + 1}", cv), (f"a{n + 1}", av)],
-    )
-    return OrthogonalTransform(np.array(rows), tuple(labels), tuple(groups))
+    # unit k: vertex site id 3k (label 3k+1), control pair ids 3k-2 and 3k-1 (labels 3k-1, 3k)
+    vertex = [_modes(f"{{}}{k + 1}", {3 * k: 1.0}) for k in range(n + 1)]
+    plus = {k: _modes(f"{{}}{k}+", {3 * k - 2: s, 3 * k - 1: s}) for k in range(1, n + 1)}
+    minus = {k: _modes(f"{{}}{k}-", {3 * k - 2: s, 3 * k - 1: -s}) for k in range(1, n + 1)}
+    groups = [("block1", vertex[0] + plus[1])]
+    groups += [(f"block{k + 1}", minus[k] + vertex[k] + plus[k + 1]) for k in range(1, n)]
+    groups.append((f"block{n + 1}", minus[n] + vertex[n]))
+    return _transform(2 * (3 * n + 1), groups)
 
 
 def switch_collective_basis() -> OrthogonalTransform:
@@ -184,25 +173,12 @@ def switch_collective_basis() -> OrthogonalTransform:
     ``(nu_i.c, nu_i.a, xi_i.c, xi_i.a)`` and couples ``nu_i`` to ``xi_i``
     with strength ``2j``.
     """
-    dim = 16
-    rows: list[np.ndarray] = []
-    labels: list[str] = []
-    groups: list[tuple[str, tuple[int, ...]]] = []
-    for i in range(4):
-        start = len(rows)
-        for index, tag in ((cavity_index(i), "c"), (atom_index(i), "a")):
-            row = np.zeros(dim)
-            row[index] = 1.0
-            rows.append(row)
-            labels.append(f"nu{i}.{tag}")
-        for pick, tag in ((cavity_index, "c"), (atom_index, "a")):
-            row = np.zeros(dim)
-            for k in range(4):
-                row[pick(4 + k)] = HADAMARD_SIGNS[i][k] / 2.0
-            rows.append(row)
-            labels.append(f"xi{i}.{tag}")
-        groups.append((f"port{i}", tuple(range(start, len(rows)))))
-    return OrthogonalTransform(np.array(rows), tuple(labels), tuple(groups))
+    inner = (4, 5, 6, 7)
+    groups = [
+        (f"port{i}", _modes(f"nu{i}.{{}}", {i: 1.0}) + _hadamard_modes(f"xi{i}.{{}}", inner, i))
+        for i in range(4)
+    ]
+    return _transform(16, groups)
 
 
 def lattice_collective_basis(desc: HexLatticeDescriptor) -> OrthogonalTransform:
@@ -213,58 +189,33 @@ def lattice_collective_basis(desc: HexLatticeDescriptor) -> OrthogonalTransform:
     ``(xi_a, link, xi_b)``; together they cover every mode exactly once.
     """
     layout = hex_lattice_layout(desc)
-    num_sites = len(layout.sites)
-    dim = 2 * num_sites
-    label_of = {site.id: site.label for site in layout.sites}
 
-    def site_rows(site: int) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for index, tag in ((cavity_index(site), "c"), (atom_index(site), "a")):
-            row = np.zeros(dim)
-            row[index] = 1.0
-            out.append((f"{label_of[site]}.{tag}", row))
-        return out
+    def site(v: str, port: int):
+        occ = layout.occupant[(v, port)]
+        return _modes(f"{layout.sites[occ].label}.{{}}", {occ: 1.0})
 
-    def xi_rows(v: str, port: int) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for pick, tag in ((cavity_index, "c"), (atom_index, "a")):
-            row = np.zeros(dim)
-            for k in range(4):
-                row[pick(layout.inner[v][k])] = HADAMARD_SIGNS[port][k] / 2.0
-            out.append((f"xi[{v},{port}].{tag}", row))
-        return out
-
-    rows: list[np.ndarray] = []
-    labels: list[str] = []
-    groups: list[tuple[str, tuple[int, ...]]] = []
-
-    def add_group(name: str, entries: list[tuple[str, np.ndarray]]) -> None:
-        start = len(rows)
-        for label, row in entries:
-            labels.append(label)
-            rows.append(row)
-        groups.append((name, tuple(range(start, len(rows)))))
+    def xi(v: str, port: int):
+        return _hadamard_modes(f"xi[{v},{port}].{{}}", layout.inner[v], port)
 
     linked = {(a, pa) for a, pa, _, _ in desc.links} | {(b, pb) for _, _, b, pb in desc.links}
     # port-0 blocks (upload or dangling) in vertex order
-    for v in desc.vertices:
-        occ = layout.occupant[(v, 0)]
-        name = f"up[{v}]" if v in desc.uploads else f"p0[{v}]"
-        add_group(name, site_rows(occ) + xi_rows(v, 0))
+    groups = [
+        (f"up[{v}]" if v in desc.uploads else f"p0[{v}]", site(v, 0) + xi(v, 0))
+        for v in desc.vertices
+    ]
     # 6-dim hop blocks in link order
-    for a, pa, b, pb in desc.links:
-        occ = layout.occupant[(a, pa)]
-        add_group(
-            f"hop[{a}{pa}-{b}{pb}]",
-            xi_rows(a, pa) + site_rows(occ) + xi_rows(b, pb),
-        )
+    groups += [
+        (f"hop[{a}{pa}-{b}{pb}]", xi(a, pa) + site(a, pa) + xi(b, pb))
+        for a, pa, b, pb in desc.links
+    ]
     # dangling planar ports in (vertex, port) order
-    for v in desc.vertices:
-        for port in (1, 2, 3):
-            if (v, port) not in linked:
-                occ = layout.occupant[(v, port)]
-                add_group(f"p{port}[{v}]", site_rows(occ) + xi_rows(v, port))
-    return OrthogonalTransform(np.array(rows), tuple(labels), tuple(groups))
+    groups += [
+        (f"p{port}[{v}]", site(v, port) + xi(v, port))
+        for v in desc.vertices
+        for port in (1, 2, 3)
+        if (v, port) not in linked
+    ]
+    return _transform(2 * len(layout.sites), groups)
 
 
 def block_decompose(
@@ -288,48 +239,29 @@ def block_decompose(
     for name, idx in transform.groups:
         sel = np.ix_(idx, idx)
         mask[sel] = True
-        blocks.append(
-            BlockHamiltonian(
-                matrix=hc[sel],
-                labels=tuple(transform.labels[i] for i in idx),
-                name=name,
-            )
-        )
+        labels = tuple(transform.labels[i] for i in idx)
+        blocks.append(BlockHamiltonian(matrix=hc[sel], labels=labels, name=name))
     residual = float(np.abs(np.where(mask, 0.0, hc)).max())
     return blocks, residual
 
 
-def _pair_block(params: SystemParams, kappa: float) -> np.ndarray:
-    oc, oa, g = params.omega_c, params.omega_a, params.g
-    return np.array(
-        [
-            [oc, g, kappa, 0.0],
-            [g, oa, 0.0, 0.0],
-            [kappa, 0.0, oc, g],
-            [0.0, 0.0, g, oa],
-        ]
-    )
-
-
-def _trio_block(params: SystemParams, kappa: float) -> np.ndarray:
-    oc, oa, g = params.omega_c, params.omega_a, params.g
-    h = np.zeros((6, 6))
-    for cell in range(3):
-        c, a = 2 * cell, 2 * cell + 1
-        h[c, c] = oc
-        h[a, a] = oa
-        h[c, a] = h[a, c] = g
-    h[0, 2] = h[2, 0] = kappa
-    h[2, 4] = h[4, 2] = kappa
+def _cell_row(params: SystemParams, kappa: float, cells: int) -> np.ndarray:
+    """``cells`` identical atom-cavity cells in a row; neighbouring cavities hop with ``kappa``."""
+    h = np.zeros((2 * cells, 2 * cells))
+    c = np.arange(0, 2 * cells, 2)
+    h[c, c] = params.omega_c
+    h[c + 1, c + 1] = params.omega_a
+    h[c, c + 1] = h[c + 1, c] = params.g
+    h[c[:-1], c[1:]] = h[c[1:], c[:-1]] = kappa
     return h
 
 
-#: Block name -> (block builder, coupling scale).
+#: Block name -> (cells in the row, coupling scale).
 _BLOCKS = {
-    "end": (_pair_block, CHAIN_COUPLING_SCALE),
-    "mid": (_trio_block, CHAIN_COUPLING_SCALE),
-    "upload": (_pair_block, LATTICE_COUPLING_SCALE),
-    "hop": (_trio_block, LATTICE_COUPLING_SCALE),
+    "end": (2, CHAIN_COUPLING_SCALE),
+    "mid": (3, CHAIN_COUPLING_SCALE),
+    "upload": (2, LATTICE_COUPLING_SCALE),
+    "hop": (3, LATTICE_COUPLING_SCALE),
 }
 
 
@@ -355,9 +287,8 @@ def extract_block(spec: NetworkSpec | SystemParams, which: str) -> BlockHamilton
     params = spec.params if isinstance(spec, NetworkSpec) else spec
     if not isinstance(params, SystemParams):
         raise ValueError("spec must be a NetworkSpec or SystemParams")
-    builder, scale = _block_kind(which)
-    matrix = builder(params, scale * params.j)
-    cells = matrix.shape[0] // 2
+    cells, scale = _block_kind(which)
+    matrix = _cell_row(params, scale * params.j, cells)
     labels = tuple(f"{tag}{cell}" for cell in range(cells) for tag in ("cav", "atom"))
     return BlockHamiltonian(matrix=matrix, labels=labels, name=which)
 

@@ -68,6 +68,18 @@ SITE_ROLES = ("vertex", "control", "port", "upload", "plain")
 ARRAY_BUDGET = 2**24
 
 
+def _is_index(value) -> bool:
+    """An int that is not a bool: ids, signs and ports are never coerced."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _listed(value, what: str, item=object) -> tuple:
+    """``value`` as a tuple; it must be a list or tuple of ``item`` instances."""
+    if not (isinstance(value, (list, tuple)) and all(isinstance(v, item) for v in value)):
+        raise ValueError(f"malformed {what}: {value!r}")
+    return tuple(value)
+
+
 def cavity_index(site: int) -> int:
     """Row of the cavity mode of ``site`` in the single-excitation layout."""
     return 2 * site
@@ -151,7 +163,7 @@ class Site:
     role: str = "plain"
 
     def __post_init__(self) -> None:
-        if isinstance(self.id, bool) or not isinstance(self.id, int) or self.id < 0:
+        if not (_is_index(self.id) and self.id >= 0):
             raise ValueError(f"site id must be an integer >= 0, got {self.id!r}")
         if self.role not in SITE_ROLES:
             raise ValueError(f"unknown site role {self.role!r}")
@@ -172,7 +184,8 @@ class NetworkSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(self.sites))
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        edges = _listed(self.edges, "edges", (list, tuple))
+        object.__setattr__(self, "edges", tuple(map(tuple, edges)))
         if not self.sites:
             raise ValueError("a network needs at least one site")
         for pos, site in enumerate(self.sites):
@@ -186,6 +199,8 @@ class NetworkSpec:
             if len(edge) != 3:
                 raise ValueError(f"edge must be (k, l, sign), got {edge!r}")
             k, l, sign = edge
+            if not all(map(_is_index, edge)):
+                raise ValueError(f"edge {edge!r} must hold integers")
             if not (0 <= k < m and 0 <= l < m):
                 raise ValueError(f"edge {edge!r} references a site outside 0..{m - 1}")
             if k == l:
@@ -231,10 +246,10 @@ class NetworkSpec:
                 Site(id=s["id"], label=s["label"], role=s.get("role", "plain"))
                 for s in data["sites"]
             )
-            edges = tuple((int(k), int(l), int(sign)) for k, l, sign in data["edges"])
-        except (KeyError, TypeError, AttributeError) as exc:
+            params = SystemParams.from_json_dict(data["params"])
+            return cls(sites=sites, edges=data["edges"], params=params)
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed network spec: {exc}") from exc
-        return cls(sites=sites, edges=edges, params=SystemParams.from_json_dict(data["params"]))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
@@ -342,9 +357,10 @@ class HexLatticeDescriptor:
     uploads: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "links", tuple(tuple(l) for l in self.links))
-        object.__setattr__(self, "uploads", tuple(self.uploads))
+        object.__setattr__(self, "vertices", _listed(self.vertices, "vertices", str))
+        links = _listed(self.links, "links", (list, tuple))
+        object.__setattr__(self, "links", tuple(map(tuple, links)))
+        object.__setattr__(self, "uploads", _listed(self.uploads, "uploads", str))
         if len(set(self.vertices)) != len(self.vertices) or not self.vertices:
             raise ValueError("vertices must be a non-empty list of unique names")
         known = set(self.vertices)
@@ -353,11 +369,12 @@ class HexLatticeDescriptor:
             if len(link) != 4:
                 raise ValueError(f"link must be (a, port_a, b, port_b), got {link!r}")
             a, pa, b, pb = link
-            if a not in known or b not in known:
+            # tuple membership compares with ==, so an unhashable name is just unknown
+            if a not in self.vertices or b not in self.vertices:
                 raise ValueError(f"link {link!r} references an unknown vertex")
             if a == b:
                 raise ValueError(f"link {link!r} joins a vertex to itself")
-            if pa not in (1, 2, 3) or pb not in (1, 2, 3):
+            if not (_is_index(pa) and _is_index(pb) and pa in (1, 2, 3) and pb in (1, 2, 3)):
                 raise ValueError(f"link ports must be in 1..3, got {link!r}")
             for end in ((a, pa), (b, pb)):
                 if end in used:
@@ -374,13 +391,9 @@ class HexLatticeDescriptor:
         if not isinstance(data, dict):
             raise ValueError("lattice descriptor must be a JSON object")
         try:
-            return cls(
-                vertices=tuple(data["vertices"]),
-                links=tuple((a, int(pa), b, int(pb)) for a, pa, b, pb in data["links"]),
-                uploads=tuple(data.get("uploads", ())),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed lattice descriptor: {exc}") from exc
+            return cls(data["vertices"], data["links"], data.get("uploads", []))
+        except KeyError as exc:
+            raise ValueError(f"malformed lattice descriptor: missing {exc}") from exc
 
 
 @dataclass(frozen=True)

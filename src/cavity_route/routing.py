@@ -30,6 +30,9 @@ from .network import (
     hex_lattice_layout,
 )
 
+#: Largest drift of any sampled norm from the initial norm that a run may show.
+NORM_TOLERANCE = 1e-9
+
 __all__ = [
     "Evolve",
     "PhaseFlip",
@@ -292,6 +295,8 @@ def run_schedule(
     population).  ``track`` is an optional list of ``(label, mode_index)``
     pairs; by default the source and target atoms are tracked.  A window may
     hold at most ``ARRAY_BUDGET`` amplitudes (``samples_per_window x dim``).
+    A non-finite norm, or one that drifts from the initial norm by more than
+    ``NORM_TOLERANCE``, raises ``FloatingPointError``.
     """
     if samples_per_window < 2:
         raise ValueError(f"samples_per_window must be >= 2, got {samples_per_window}")
@@ -326,6 +331,7 @@ def run_schedule(
     state = initial
     t_offset = 0.0
     first_window = True
+    norm0 = np.sqrt(initial.norm_sq)
     for step in schedule.steps:
         if not isinstance(step, Evolve):
             state = _apply_instant(state, step)
@@ -339,6 +345,10 @@ def run_schedule(
         photon.append(pops[0::2, keep].sum(axis=0))
         tracked.append(pops[mode_rows][:, keep].T)
         norms.append(np.sqrt(pops[:, keep].sum(axis=0) + abs(state.vac) ** 2))
+        drift = float(np.abs(norms[-1] - norm0).max())
+        if not drift <= NORM_TOLERANCE:
+            what = f"norm drift {drift:.3e}" if np.isfinite(drift) else "non-finite norm"
+            raise FloatingPointError(f"{what} in evolution window {len(norms)}")
         state = ExcitationState(amps=evolved[:, -1], vac=state.vac)
         t_offset += step.duration
         first_window = False

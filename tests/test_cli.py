@@ -301,7 +301,7 @@ class TestRouteCommand:
                     "uploads": ["a", "b"],
                 },
                 "params": PARAMS,
-                "protocol": {"path": ["a", "b"], "times": [T_UPLOAD, T_HOP]},
+                "protocol": {"path": ["a", "b"]},
                 "output": {"samples_per_window": 11},
             },
         )
@@ -401,11 +401,20 @@ class TestErrorPaths:
 
 CHAIN = {"topology": "diamond_chain", "n": 2, "params": PARAMS, "output": {"samples_per_window": 5}}
 SWITCH = {"topology": "switch", "params": PARAMS, "protocol": {"port": 2}}
+HEX = {"vertices": ["a", "b"], "links": [["a", 1, "b", 1]], "uploads": ["a", "b"]}
 HEX_ROUTE = {
     "topology": "hex_lattice",
-    "descriptor": {"vertices": ["a", "b"], "links": [["a", 1, "b", 1]], "uploads": ["a", "b"]},
+    "descriptor": HEX,
     "params": PARAMS,
     "protocol": {"path": ["a", "b"]},
+}
+CUSTOM_FLOAT_EDGE = {
+    "topology": "custom",
+    "network": {
+        "sites": [{"id": 0, "label": "a"}, {"id": 1, "label": "b"}],
+        "edges": [[0.7, 1.2, 1.9]],
+        "params": PARAMS,
+    },
 }
 
 
@@ -418,6 +427,9 @@ def _with(base, **changes):
         else:
             cfg[section] = value
     return cfg
+
+
+ROUTE = _with(HEX_ROUTE, protocol__times=[T_UPLOAD, T_HOP])
 
 
 def run_failing(tmp_path, capsys, command, cfg, *flags):
@@ -491,6 +503,11 @@ class TestConfigContract:
             ("transfer-time", {"params": PARAMS}, ["--tmax", "1e308"]),
             ("transfer-time", {"params": PARAMS, "block": "first"}, []),
             ("transfer-time", {"params": {"delta": 1e300}}, []),
+            # JSON ids, signs and ports are never coerced to int
+            ("transfer-time", CUSTOM_FLOAT_EDGE, ["--source", "1", "--target", "3"]),
+            ("route", _with(ROUTE, descriptor=_with(HEX, links=[["a", 1.7, "b", 1]])), []),
+            ("route", _with(ROUTE, descriptor=_with(HEX, vertices="ab")), []),
+            ("blocks", {"topology": "hex_lattice", "descriptor": _with(HEX, vertices="ab")}, []),
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capsys, command, cfg, flags):
@@ -506,3 +523,46 @@ class TestConfigContract:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "command, cfg, flags",
+        [
+            ("blocks", CHAIN, ["--samples", "7", "--grid", "5", "--tmax", "3"]),
+            ("transfer-time", {"params": PARAMS}, ["--out", "{out}"]),
+            ("validate-analytic", {"params": PARAMS, "samples": 3}, ["--out", "{out}"]),
+            ("blocks", CHAIN, ["--block", "end"]),
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys, command, cfg, flags):
+        # run_failing also checks that no output file was written
+        flags = [str(tmp_path / "trace.csv") if flag == "{out}" else flag for flag in flags]
+        code, err = run_failing(tmp_path, capsys, command, cfg, *flags)
+        assert code == 2
+        assert err.startswith("config error: ") and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["blocks"], ["simulate", "--config"], ["transfer-time", "--config", "c.json", "--grid", "x"]],
+    )
+    def test_parse_error_is_one_line(self, capsys, argv):
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+class TestNormDrift:
+    def test_non_orthogonal_spectrum_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        from cavity_route import routing
+        from cavity_route.evolution import Spectrum, eigendecompose
+
+        def skewed(h):
+            spectrum = eigendecompose(h)
+            return Spectrum(spectrum.eigenvalues, spectrum.eigenvectors * (1.0 + 1e-7))
+
+        monkeypatch.setattr(routing, "eigendecompose", skewed)
+        cfg = _with(CHAIN, protocol__times=[T1, T2])
+        code, err = run_failing(tmp_path, capsys, "simulate", cfg)
+        assert code == 1
+        assert err.startswith("numerical error: norm drift")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_route import (
     DISPERSIVE,
@@ -33,13 +35,11 @@ class TestOrthogonalTransform:
     def test_rows_must_be_orthonormal(self):
         m = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            OrthogonalTransform(matrix=m, labels=("x", "y"), groups={"g": (0, 1)})
+            OrthogonalTransform(matrix=m, labels=("x", "y"), groups=(("g", (0, 1)),))
 
     def test_groups_must_partition_rows(self):
         with pytest.raises(ValueError):
-            OrthogonalTransform(
-                matrix=np.eye(2), labels=("x", "y"), groups={"g": (0,)}
-            )
+            OrthogonalTransform(matrix=np.eye(2), labels=("x", "y"), groups=(("g", (0,)),))
 
     def test_round_trip(self):
         t = chain_collective_basis(2)
@@ -180,3 +180,50 @@ class TestResiduals:
         h = build_single_excitation_hamiltonian(build_diamond_chain(2))
         with pytest.raises(ValueError):
             block_decompose(h, chain_collective_basis(3))
+
+
+@st.composite
+def lattice_descriptors(draw):
+    """Valid descriptors: 1-4 vertices, links on free planar ports, any uploads."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    free = [(v, port) for v in vertices for port in (1, 2, 3)]
+    links = []
+    for _ in range(draw(st.integers(0, 5))):
+        a = draw(st.sampled_from(free))
+        others = [end for end in free if end[0] != a[0]]
+        if not others:
+            break
+        b = draw(st.sampled_from(others))
+        free = [end for end in free if end not in (a, b)]
+        links.append((*a, *b))
+    uploads = draw(st.lists(st.sampled_from(vertices), unique=True))
+    return HexLatticeDescriptor(tuple(vertices), tuple(links), tuple(uploads))
+
+
+@st.composite
+def networks_with_bases(draw):
+    params = SystemParams(
+        omega_c=draw(st.floats(-10.0, 10.0)),
+        delta=draw(st.floats(-1000.0, 1000.0)),
+        g=draw(st.floats(0.1, 100.0)),
+        j=draw(st.floats(0.1, 10.0)),
+    )
+    kind = draw(st.sampled_from(["chain", "switch", "lattice"]))
+    if kind == "chain":
+        n = draw(st.integers(1, 12))
+        return build_diamond_chain(n, params), chain_collective_basis(n)
+    if kind == "switch":
+        return build_switch(params), switch_collective_basis()
+    desc = draw(lattice_descriptors())
+    return build_hex_lattice(desc, params), lattice_collective_basis(desc)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=networks_with_bases())
+def test_every_basis_is_orthonormal_and_splits_into_blocks(case):
+    spec, t = case
+    assert np.allclose(t.matrix @ t.matrix.T, np.eye(t.dim), rtol=0.0, atol=1e-14)
+    assert sorted(i for _, idx in t.groups for i in idx) == list(range(t.dim))
+    assert len(t.labels) == t.dim
+    _, residual = _decompose(spec, t)
+    assert residual <= 1e-12

@@ -27,6 +27,12 @@ TIMES = {
     "disp": dict(zip(BLOCKS, (266.573545158, 376.991885906, 188.495939869, 266.570425424))),
 }
 HEX = {"vertices": ["a", "b"], "links": [["a", 1, "b", 1]], "uploads": ["a", "b"]}
+# three vertices, a port-0 site without upload at b and five dangling planar ports
+HEX3 = {
+    "vertices": ["a", "b", "c"],
+    "links": [["a", 1, "b", 1], ["b", 2, "c", 3]],
+    "uploads": ["a", "c"],
+}
 OUT = "{out}"  # replaced by a temporary file path
 
 
@@ -52,6 +58,10 @@ def _cases():
         cases[f"blocks-chain-{regime}"] = ("blocks", chain, ["--out", OUT])
         cases[f"blocks-switch-{regime}"] = ("blocks", {"topology": "switch", "params": params}, [])
         cases[f"blocks-hex-{regime}"] = ("blocks", _hex(params), ["--out", OUT])
+        switch = {"topology": "switch", "params": params}
+        cases[f"blocks-switch-out-{regime}"] = ("blocks", switch, ["--out", OUT])
+        hex3 = {"topology": "hex_lattice", "descriptor": HEX3, "params": params}
+        cases[f"blocks-hex3-{regime}"] = ("blocks", hex3, ["--out", OUT])
         cfg = {**_chain(3, params, chain_times), "output": {"path": OUT, "samples_per_window": 21}}
         cases[f"simulate-{regime}"] = ("simulate", cfg, [])
         for port in (1, 2, 3):

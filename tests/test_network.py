@@ -295,6 +295,43 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match="malformed network spec"):
             NetworkSpec.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "edge", [(0, 1, True), (0.0, 1, 1), (0, 1.0, -1), (0, 1, 1.0), [0.7, 1.2, 1.9], 5]
+    )
+    def test_edges_are_never_coerced(self, edge):
+        sites = (Site(0, "a"), Site(1, "b"))
+        with pytest.raises(ValueError):
+            NetworkSpec(sites=sites, edges=(edge,))
+        data = {"sites": [{"id": 0, "label": "a"}, {"id": 1, "label": "b"}], "edges": [edge]}
+        with pytest.raises(ValueError, match="malformed network spec"):
+            NetworkSpec.from_json_dict({**data, "params": {}})
+
+    @pytest.mark.parametrize("site_id", [True, 1.0, "1"])
+    def test_site_id_must_be_int(self, site_id):
+        with pytest.raises(ValueError, match="site id"):
+            Site(site_id, "x")
+
+    @pytest.mark.parametrize(
+        "vertices, links, uploads",
+        [
+            (("a", "b"), (("a", True, "b", 1),), ()),
+            (("a", "b"), (("a", 1, "b", 1.0),), ()),
+            (("a", "b"), (("a", 1.7, "b", 1),), ()),
+            ("ab", (), ()),
+            (("a", 1), (), ()),
+            (("a", "b"), (), "a"),
+            (("a", "b"), (), (["a"],)),
+            (("a", "b"), ((["a"], 1, "b", 1),), ()),
+            (("a", "b"), "a1b1", ()),
+        ],
+    )
+    def test_lattice_descriptor_types(self, vertices, links, uploads):
+        with pytest.raises(ValueError):
+            HexLatticeDescriptor(vertices, links, uploads)
+        data = {"vertices": vertices, "links": links, "uploads": uploads}
+        with pytest.raises(ValueError):
+            HexLatticeDescriptor.from_json_dict(json.loads(json.dumps(data)))
+
     def test_hamiltonian_above_budget(self, monkeypatch):
         monkeypatch.setattr("cavity_route.network.ARRAY_BUDGET", 16 * 16)
         build_single_excitation_hamiltonian(build_switch())  # 16 modes, at the limit
