@@ -262,9 +262,7 @@ def _cmd_blocks(args) -> int:
     h = build_single_excitation_hamiltonian(spec)
     blocks, residual = block_decompose(h, transform)
     _check_finite(residual=residual, blocks=np.concatenate([b.matrix.ravel() for b in blocks]))
-    shown = "<=1e-12" if residual <= _RESIDUAL_THRESHOLD else f"{residual:.3e}"
-    print(f"blocks: {','.join(str(b.dim) for b in blocks)} residual: {shown}")
-    if args.out:
+    if args.out:  # written before the report, so a failed write prints nothing
         lines = []
         for block in blocks:
             lines.append(f"# block {block.name} dim={block.dim} basis={'|'.join(block.labels)}")
@@ -272,6 +270,8 @@ def _cmd_blocks(args) -> int:
                 lines.append(",".join(f"{x:.12g}" for x in row))
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
+    shown = "<=1e-12" if residual <= _RESIDUAL_THRESHOLD else f"{residual:.3e}"
+    print(f"blocks: {','.join(str(b.dim) for b in blocks)} residual: {shown}")
     if args.strict and not (_RESIDUAL_THRESHOLD >= residual):
         print(f"strict: residual {residual:.3e} above {_RESIDUAL_THRESHOLD}", file=sys.stderr)
         return 1
@@ -433,13 +433,13 @@ def _cmd_protocol(args) -> int:
     times, resolved = _protocol_times(args, cfg, params, protocol)
     trace, fields = protocol.run(cfg, _section(cfg, "protocol"), params, times, samples)
     _check_finite(**fields)
+    fidelity, phase = (fields[key] for key in protocol.footer)
+    if out:  # written before the report, so a failed write prints nothing
+        comments = (f"# {resolved}",) if resolved else ()
+        emit_trace_csv(trace, out, fidelity=fidelity, phase=phase, extra_comments=comments)
     print(" ".join(f"{key}={value:{_FORMATS.get(key, '.12g')}}" for key, value in fields.items()))
     if resolved:
         print(resolved)
-    fidelity, phase = (fields[key] for key in protocol.footer)
-    if out:
-        comments = (f"# {resolved}",) if resolved else ()
-        emit_trace_csv(trace, out, fidelity=fidelity, phase=phase, extra_comments=comments)
     leakage = fields.get("leakage", 0.0)
     if args.strict and not (fidelity >= _FIDELITY_FLOOR and _LEAKAGE_CEILING >= leakage):
         print(

@@ -38,6 +38,9 @@ _CHUNK = 65536
 #: made on refined values.
 _CANDIDATE_BAND = 5e-3
 
+#: Newton steps per candidate; three reach rounding level on auto_grid_points grids.
+_NEWTON_STEPS = 5
+
 #: Bohr frequencies enter the envelope-period estimate only if the
 #: corresponding pair of spectral weights is at least this fraction of the
 #: largest weight product.
@@ -194,31 +197,25 @@ def site_population(state: ExcitationState, site: int, kind: str) -> float:
     return state.population(index)
 
 
-def _refine_peak(
-    weights: np.ndarray,
-    eigenvalues: np.ndarray,
-    lo: float,
-    hi: float,
-    tol: float,
-) -> tuple[float, float]:
-    """Nested grid zoom on one bracket; returns (t_peak, fidelity).
+def _newton_peaks(
+    weights: np.ndarray, eigenvalues: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Newton on ``F'(t) = 0`` from all grid maxima ``t`` at once; returns the new times.
 
-    A plain golden-section step assumes the bracket is unimodal, which fails
-    when the scan grid undersamples the fast Rabi oscillation (wide windows
-    in the dispersive regime).  Re-gridding the bracket at 65 points per
-    level stays robust against that and converges geometrically.
+    ``F'/2 = Re(conj(A) A')`` and ``F''/2 = |A'|^2 + Re(conj(A) A'')`` come from one
+    exponential block per step; a candidate moves only where ``F'' < 0``, inside ``[lo, hi]``.
     """
-    t_best, f_best = lo, -1.0
-    for _ in range(80):
-        ts = np.linspace(lo, hi, 65)
-        f = np.abs(_amp_on_grid(weights, eigenvalues, ts)) ** 2
-        i = int(np.argmax(f))
-        if f[i] > f_best:
-            t_best, f_best = float(ts[i]), float(f[i])
-        lo, hi = float(ts[max(0, i - 1)]), float(ts[min(64, i + 1)])
-        if hi - lo <= tol:
-            break
-    return t_best, f_best
+    derivatives = np.stack([weights, -1j * eigenvalues * weights, -eigenvalues**2 * weights], 1)
+    t = t.copy()
+    for start in range(0, t.shape[0], _CHUNK):
+        part = slice(start, start + _CHUNK)
+        for _ in range(_NEWTON_STEPS):
+            a, a1, a2 = (np.exp(np.outer(t[part], -1j * eigenvalues)) @ derivatives).T
+            slope = (a.conj() * a1).real
+            curvature = np.abs(a1) ** 2 + (a.conj() * a2).real
+            shift = np.divide(slope, curvature, out=np.zeros_like(slope), where=curvature < 0)
+            t[part] = np.clip(t[part] - shift, lo[part], hi[part])
+    return t
 
 
 def _envelope_period(weights: np.ndarray, eigenvalues: np.ndarray) -> float:
@@ -230,19 +227,12 @@ def _envelope_period(weights: np.ndarray, eigenvalues: np.ndarray) -> float:
     ``inf`` when no resolvable beat exists.
     """
     w = np.abs(np.outer(weights, weights))
-    floor = _WEIGHT_FLOOR * float(w.max())
-    scale = max(1.0, float(np.abs(eigenvalues).max()))
-    gaps = []
-    n = eigenvalues.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w[i, j] >= floor:
-                gap = abs(float(eigenvalues[i] - eigenvalues[j]))
-                if gap > 1e-9 * scale:
-                    gaps.append(gap)
-    if not gaps:
+    i, j = np.triu_indices(eigenvalues.shape[0], 1)
+    gaps = np.abs(eigenvalues[i] - eigenvalues[j])[w[i, j] >= _WEIGHT_FLOOR * float(w.max())]
+    gaps = gaps[gaps > 1e-9 * max(1.0, float(np.abs(eigenvalues).max()))]
+    if gaps.size == 0:
         return float("inf")
-    return 2.0 * np.pi / min(gaps)
+    return 2.0 * np.pi / float(gaps.min())
 
 
 def find_transfer_time(
@@ -251,19 +241,15 @@ def find_transfer_time(
     target: int,
     window: tuple[float, float] = (0.0, 10.0),
     grid_points: int = 20001,
-    refine_tol: float = 1e-6,
 ) -> TransferResult:
-    """Locate the transfer peak of ``|<target| exp(-i H t) |source>|^2``.
+    """Locate the transfer peak of ``F(t) = |<target| exp(-i H t) |source>|^2``.
 
-    The fidelity is scanned on a uniform grid over ``window``; every local
-    maximum near the grid top is refined to ``refine_tol``.  Among the
-    refined peaks, the search keeps those inside the first period of the
-    slow transfer envelope (see ``_envelope_period``) and returns the best
-    of them - the earliest in case of an exact tie.  Restricting to the
-    first envelope period pins the search to the protocol's first transfer
-    event; later periods repeat the same peak pattern with essentially the
-    same fidelity, so a bare global argmax would jump between repetitions
-    on rounding-level differences.
+    ``F`` is scanned on a uniform grid over ``window``; every local maximum
+    near the grid top is refined by Newton on ``F'(t) = 0`` inside its grid
+    bracket.  The result is the best refined peak in the first period of the
+    slow transfer envelope, the earliest on an exact tie: later periods
+    repeat the same peaks with essentially the same fidelity, so a global
+    argmax would jump between them on rounding-level differences.
 
     Parameters
     ----------
@@ -274,12 +260,11 @@ def find_transfer_time(
     window : (float, float)
         Search interval; must be non-empty.
     grid_points : int
-        Scan resolution, at most ``ARRAY_BUDGET``.  The default resolves the
-        resonant default blocks; wide dispersive windows deserve a denser grid
-        (the refinement stage tolerates an undersampled scan, but candidate
-        selection is only as good as the grid).
-    refine_tol : float
-        Time tolerance of the peak refinement.
+        Scan resolution, at most ``ARRAY_BUDGET``; the default resolves the
+        resonant default blocks.  Use ``auto_grid_points``: on a grid that
+        resolves the fastest Bohr oscillation, ``t_star`` is the stationary
+        point of the chosen peak of ``F``, not a grid point.  A coarser grid
+        may miss the peak, but the result is never below the best scanned point.
 
     Returns
     -------
@@ -292,41 +277,29 @@ def find_transfer_time(
         raise ValueError(f"empty search window {window!r}")
     if not 3 <= grid_points <= ARRAY_BUDGET:
         raise ValueError(f"grid_points must be in [3, {ARRAY_BUDGET}], got {grid_points}")
-    if refine_tol <= 0:
-        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     spectrum = eigendecompose(h)
-    for idx in (source, target):
-        if not 0 <= idx < spectrum.dim:
-            raise ValueError(f"basis index {idx} outside 0..{spectrum.dim - 1}")
-    v = spectrum.eigenvectors
-    weights = v[target, :] * v[source, :]
-
     ts = np.linspace(t_lo, t_hi, grid_points)
-    f = np.abs(_amp_on_grid(weights, spectrum.eigenvalues, ts)) ** 2
+    amp = transition_amplitudes(spectrum, source, target, ts)
+    f = np.abs(amp) ** 2
     if not np.isfinite(f).all():
         raise FloatingPointError(f"non-finite transfer fidelity on the scan over {window!r}")
+    v = spectrum.eigenvectors
+    weights = v[target, :] * v[source, :]
     interior = np.flatnonzero((f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:])) + 1
     if interior.size == 0:
         interior = np.array([int(np.argmax(f[1:-1])) + 1])
-    f_top = float(f[interior].max())
-    candidates = [i for i in interior if f[i] >= f_top - _CANDIDATE_BAND]
-
-    refined: list[tuple[float, float]] = []
-    for i in candidates:
-        t_r, f_r = _refine_peak(
-            weights, spectrum.eigenvalues, float(ts[i - 1]), float(ts[i + 1]), refine_tol
-        )
-        refined.append((t_r, f_r))
-    refined.sort()
+    peaks = interior[f[interior] >= float(f[interior].max()) - _CANDIDATE_BAND]
+    t_new = _newton_peaks(weights, spectrum.eigenvalues, ts[peaks], ts[peaks - 1], ts[peaks + 1])
+    a_new = transition_amplitudes(spectrum, source, target, t_new)
+    # a peak that Newton did not improve keeps its grid point: never below the scan
+    better = np.abs(a_new) ** 2 >= f[peaks]
+    t_peak, a_peak = np.where(better, t_new, ts[peaks]), np.where(better, a_new, amp[peaks])
+    f_peak = np.abs(a_peak) ** 2
 
     horizon = t_lo + _envelope_period(weights, spectrum.eigenvalues)
-    first_lobe = [(t, fv) for t, fv in refined if t <= horizon]
-    pool = first_lobe if first_lobe else refined
-    best_f = max(fv for _, fv in pool)
-    t_star, fidelity = next((t, fv) for t, fv in pool if fv >= best_f)
-
-    amp = transition_amplitudes(spectrum, source, target, np.array([t_star]))[0]
-    return TransferResult(t_star=float(t_star), fidelity=float(fidelity), phase=float(np.angle(amp)))
+    # inside the first envelope period if any is, then the highest, then the earliest
+    k = np.lexsort((t_peak, -f_peak, t_peak > horizon))[0]
+    return TransferResult(float(t_peak[k]), float(f_peak[k]), float(np.angle(a_peak[k])))
 
 
 def auto_grid_points(

@@ -165,6 +165,8 @@ class Site:
     def __post_init__(self) -> None:
         if not (_is_index(self.id) and self.id >= 0):
             raise ValueError(f"site id must be an integer >= 0, got {self.id!r}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"site label must be a string, got {self.label!r}")
         if self.role not in SITE_ROLES:
             raise ValueError(f"unknown site role {self.role!r}")
 

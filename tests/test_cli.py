@@ -417,6 +417,16 @@ CUSTOM_FLOAT_EDGE = {
     },
 }
 
+# site labels name CSV columns and lattice ports: they must be strings
+CUSTOM_BAD_LABELS = {
+    "topology": "custom",
+    "network": {
+        "sites": [{"id": 0, "label": 5}, {"id": 1, "label": [1]}],
+        "edges": [[0, 1, 1]],
+        "params": PARAMS,
+    },
+}
+
 
 def _with(base, **changes):
     cfg = json.loads(json.dumps(base))
@@ -477,6 +487,20 @@ class TestNonFiniteResults:
         assert err.startswith("numerical error")
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["switch", "blocks"])
+    def test_failed_write_prints_no_report(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "no-such-dir" / "x.csv")
+        if command == "switch":
+            cfg, flags = _with(SWITCH, protocol__times=T_UPLOAD, output__path=missing), []
+        else:
+            cfg, flags = CHAIN, ["--out", missing]
+        # run_failing checks that stdout is empty and stderr is one line
+        code, err = run_failing(tmp_path, capsys, command, cfg, *flags)
+        assert code == 1
+        assert err.startswith("error: ")
+
+
 class TestConfigContract:
     @pytest.mark.parametrize(
         "command, cfg, flags",
@@ -508,6 +532,7 @@ class TestConfigContract:
             ("route", _with(ROUTE, descriptor=_with(HEX, links=[["a", 1.7, "b", 1]])), []),
             ("route", _with(ROUTE, descriptor=_with(HEX, vertices="ab")), []),
             ("blocks", {"topology": "hex_lattice", "descriptor": _with(HEX, vertices="ab")}, []),
+            ("transfer-time", CUSTOM_BAD_LABELS, ["--source", "1", "--target", "3"]),
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capsys, command, cfg, flags):

@@ -311,6 +311,14 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match="site id"):
             Site(site_id, "x")
 
+    @pytest.mark.parametrize("label", [5, [1], None])
+    def test_site_label_must_be_str(self, label):
+        with pytest.raises(ValueError, match="site label"):
+            Site(0, label)
+        data = {"sites": [{"id": 0, "label": label}], "edges": [], "params": {}}
+        with pytest.raises(ValueError, match="malformed network spec"):
+            NetworkSpec.from_json_dict(data)
+
     @pytest.mark.parametrize(
         "vertices, links, uploads",
         [
