@@ -8,7 +8,6 @@ built from free evolution windows and local atomic phase flips.
 """
 
 from .closed_form import (
-    AnalyticConstants,
     analytic_u4,
     analytic_u6,
     validate_analytic,
@@ -71,7 +70,6 @@ from .routing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticConstants",
     "BlockHamiltonian",
     "DISPERSIVE",
     "EntanglementResult",

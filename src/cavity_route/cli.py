@@ -61,6 +61,7 @@ from .collective import (
 )
 from .evolution import (
     auto_grid_points,
+    eigendecompose,
     find_transfer_time,
     site_population,
 )
@@ -84,9 +85,6 @@ from .routing import (
 )
 
 __all__ = ["main", "emit_trace_csv", "ConfigError"]
-
-# atom-to-atom transfer pair inside a block, by block dimension
-_TRANSFER_PAIRS = {4: (1, 3), 6: (1, 5)}
 
 _RESIDUAL_THRESHOLD = 1e-12
 _ANALYTIC_THRESHOLD = 1e-9
@@ -173,8 +171,10 @@ def _find_peak(h, source: int, target: int, args, cfg: dict, params: SystemParam
     """Transfer peak over the configured window, on the configured or auto grid."""
     window = _search_window(args, cfg, params)
     grid = _lookup(args.grid, cfg, "grid")
-    grid = auto_grid_points(h, window) if grid is None else _count(grid, "grid", 3, ARRAY_BUDGET)
-    return find_transfer_time(h, source, target, window=window, grid_points=grid)
+    grid = None if grid is None else _count(grid, "grid", 3, ARRAY_BUDGET)
+    spectrum = eigendecompose(h)  # one decomposition sizes the grid and runs the search
+    grid = auto_grid_points(spectrum, window) if grid is None else grid
+    return find_transfer_time(spectrum, source, target, window=window, grid_points=grid)
 
 
 def _output(args, cfg: dict) -> tuple[int, str | None]:
@@ -293,9 +293,9 @@ def _cmd_transfer_time(args) -> int:
     else:
         params = _config_params(cfg)
         h = extract_block(params, args.block if args.block is not None else cfg.get("block", "end"))
-        defaults = _TRANSFER_PAIRS[h.dim]
-        source = args.source if args.source is not None else defaults[0]
-        target = args.target if args.target is not None else defaults[1]
+        # first atom to last atom of the block
+        source = args.source if args.source is not None else 1
+        target = args.target if args.target is not None else h.dim - 1
     result = _find_peak(h, source, target, args, cfg, params)
     _check_finite(**result._asdict())
     print(" ".join(f"{key}={value:.12g}" for key, value in result._asdict().items()))
@@ -413,7 +413,7 @@ def _protocol_times(args, cfg: dict, params: SystemParams, protocol: _Protocol):
         found = []
         for which in protocol.blocks:
             block = extract_block(params, which)
-            found.append(_find_peak(block, *_TRANSFER_PAIRS[block.dim], args, cfg, params).t_star)
+            found.append(_find_peak(block, 1, block.dim - 1, args, cfg, params).t_star)
         names = " ".join(f"{name}={t:.12g}" for name, t in zip(protocol.times, found))
         return tuple(found), f"times {names}"
     if len(protocol.times) == 1 and not isinstance(times, list):

@@ -1,26 +1,20 @@
-"""Closed-form transfer amplitudes of the 4- and 6-dimensional blocks.
+"""Closed-form amplitudes of every invariant block, from the normal modes of a uniform row.
 
-Every block is a short chain of identical atom-cavity cells whose cavities
-hop with one coupling ``kappa``.  Rotating the cavities (and, by symmetry,
-the atoms) into the hopping normal modes turns the block into independent
-two-level Jaynes-Cummings sectors, one per normal mode:
-
-* pair block (4x4): modes at ``+-kappa`` with generalized Rabi splittings
-  ``hypot(kappa +- delta, 2g)``;
-* trio block (6x6): modes at ``0, +-sqrt(2) kappa`` with splittings
-  ``hypot(delta, 2g)`` and ``hypot(sqrt(2) kappa +- delta, 2g)``.
-
-Each sector evolves as a textbook detuned Rabi problem; transforming back
-gives the amplitudes below as sums of four (pair) or six (trio) phase
-factors.  The functions keep the global ``exp(-i omega_c t)`` phase so the
-values can be compared against the numeric propagator verbatim, which is
-exactly what ``validate_analytic`` does.
+A block is a row of ``cells`` identical atom-cavity cells (2 for
+``end``/``upload``, 3 for ``mid``/``hop``) whose neighbouring cavities hop
+with ``kappa``.  The row's standing waves ``phi[c, m] = sqrt(2 / (cells + 1))
+sin(pi m (c + 1) / (cells + 1))`` shift the cavity energy by ``2 kappa
+cos(pi m / (cells + 1))``, ``m = 1..cells``.  Taking cavities and atoms alike
+into these modes splits the block into detuned Rabi sectors, one per mode,
+with splittings ``hypot(shift_m + delta, 2g)``; each component is a sum over
+the sectors.  No eigensolver is used, so the values are an independent oracle
+for the numeric propagator; they keep the global ``exp(-i omega_c t)`` phase,
+so ``validate_analytic`` compares them verbatim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import hypot, sqrt
+import math
 
 import numpy as np
 
@@ -29,114 +23,53 @@ from .evolution import eigendecompose, transition_amplitudes
 from .network import SystemParams
 
 __all__ = [
-    "AnalyticConstants",
     "analytic_u4",
     "analytic_u6",
     "validate_analytic",
 ]
 
 
-@dataclass(frozen=True)
-class AnalyticConstants:
-    """Generalized Rabi splittings of a block at coupling ``kappa``.
+def _cell_row_amplitudes(params: SystemParams, kappa: float, cells: int, t) -> np.ndarray:
+    """Amplitudes ``(cav0, atom0, cav1, ...)`` of a row of ``cells`` cells from ``atom0``.
 
-    ``split_sym``/``split_asym`` belong to the symmetric and antisymmetric
-    cavity modes of the pair block; ``split_mid``, ``split_upper`` and
-    ``split_lower`` to the zero and ``+-sqrt(2) kappa`` modes of the trio
-    block.  All are strictly positive; at ``delta = 0`` the pair splittings
-    coincide, as do upper and lower.
+    Sector ``m`` couples the cavity mode at ``omega_c + shift_m`` to its atom
+    combination at ``omega_c - delta``.  The component axis follows ``t``'s axes.
     """
-
-    split_sym: float
-    split_asym: float
-    split_mid: float
-    split_upper: float
-    split_lower: float
-
-    @classmethod
-    def from_params(cls, params: SystemParams, kappa: float) -> "AnalyticConstants":
-        if kappa <= 0:
-            raise ValueError(f"block coupling must be positive, got {kappa}")
-        two_g = 2.0 * params.g
-        return cls(
-            split_sym=hypot(kappa + params.delta, two_g),
-            split_asym=hypot(kappa - params.delta, two_g),
-            split_mid=hypot(params.delta, two_g),
-            split_upper=hypot(sqrt(2.0) * kappa + params.delta, two_g),
-            split_lower=hypot(sqrt(2.0) * kappa - params.delta, two_g),
-        )
-
-
-def _sector_amplitudes(
-    params: SystemParams, mode_shift: float, splitting: float, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Atom-survival and atom-to-cavity amplitudes of one Rabi sector.
-
-    The sector couples the cavity normal mode at energy
-    ``omega_c + mode_shift`` to its atom combination at ``omega_c - delta``.
-    """
-    d = mode_shift + params.delta  # energy mismatch cavity-mode minus atom
-    mean = params.omega_c + 0.5 * (mode_shift - params.delta)
-    upper = np.exp(-1j * (mean - 0.5 * splitting) * t)
-    lower = np.exp(-1j * (mean + 0.5 * splitting) * t)
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"block coupling must be finite and positive, got {kappa}")
+    m = np.arange(1, cells + 1)
+    phi = math.sqrt(2.0 / (cells + 1)) * np.sin(np.pi * np.outer(m, m) / (cells + 1))  # symmetric
+    shift = 2.0 * kappa * np.cos(np.pi * m / (cells + 1))
+    d = shift + params.delta  # energy mismatch cavity-mode minus atom
+    splitting = np.hypot(d, 2.0 * params.g)
+    mean = params.omega_c + 0.5 * (shift - params.delta)
+    times = np.asarray(t, dtype=float)
+    upper = np.exp(-1j * (mean - 0.5 * splitting) * times[..., None])
+    lower = np.exp(-1j * (mean + 0.5 * splitting) * times[..., None])
     survive = ((splitting + d) * upper + (splitting - d) * lower) / (2.0 * splitting)
     leak = params.g * (lower - upper) / splitting
-    return survive, leak
+    weights = (phi[0] * phi).T  # weights[m, c] = phi[0, m] phi[c, m]
+    return np.stack([leak @ weights, survive @ weights], axis=-1).reshape(*times.shape, 2 * cells)
 
 
 def analytic_u4(params: SystemParams, kappa: float, t) -> np.ndarray:
-    """Pair-block amplitudes ``(u1..u4)`` from a unit atom excitation.
+    """Pair-block amplitudes ``(cav0, atom0, cav1, atom1)`` from a unit ``atom0`` excitation.
 
     ``kappa`` is the cavity-cavity coupling of the block (``sqrt(2) j`` for
-    chain blocks, ``2 j`` for switch/lattice port blocks).  Components are
-    ordered as the block basis ``(cav0, atom0, cav1, atom1)``; the source is
-    ``atom0`` and the transfer target ``atom1``.  Accepts a scalar or an
-    array of times; the component axis is last.
+    chain blocks, ``2 j`` for switch/lattice port blocks); the transfer target
+    is ``atom1``.  Accepts a scalar or an array of times; the component axis
+    is last.
     """
-    consts = AnalyticConstants.from_params(params, kappa)
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    f_sym, k_sym = _sector_amplitudes(params, +kappa, consts.split_sym, times)
-    f_asym, k_asym = _sector_amplitudes(params, -kappa, consts.split_asym, times)
-    out = np.stack(
-        [
-            0.5 * (k_sym + k_asym),
-            0.5 * (f_sym + f_asym),
-            0.5 * (k_sym - k_asym),
-            0.5 * (f_sym - f_asym),
-        ],
-        axis=-1,
-    )
-    return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+    return _cell_row_amplitudes(params, kappa, 2, t)
 
 
 def analytic_u6(params: SystemParams, kappa: float, t) -> np.ndarray:
-    """Trio-block amplitudes ``(u1..u6)`` from a unit atom excitation.
+    """Trio-block amplitudes ``(cav0, atom0, ..., cav2, atom2)`` from a unit ``atom0`` excitation.
 
-    ``kappa`` is the adjacent cavity-cavity coupling of the 6x6 block.
-    Components are ordered as the block basis ``(cav0, atom0, cav1, atom1,
-    cav2, atom2)``; the source is ``atom0``, the transfer target ``atom2``.
+    ``kappa`` is the adjacent cavity-cavity coupling of the 6x6 block; the
+    transfer target is ``atom2``.
     """
-    consts = AnalyticConstants.from_params(params, kappa)
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    shift = sqrt(2.0) * kappa
-    h_mid, k_mid = _sector_amplitudes(params, 0.0, consts.split_mid, times)
-    h_up, k_up = _sector_amplitudes(params, +shift, consts.split_upper, times)
-    h_low, k_low = _sector_amplitudes(params, -shift, consts.split_lower, times)
-    quarter_sum_h = 0.25 * (h_up + h_low)
-    quarter_sum_k = 0.25 * (k_up + k_low)
-    inv_2s2 = 1.0 / (2.0 * sqrt(2.0))
-    out = np.stack(
-        [
-            0.5 * k_mid + quarter_sum_k,
-            0.5 * h_mid + quarter_sum_h,
-            inv_2s2 * (k_up - k_low),
-            inv_2s2 * (h_up - h_low),
-            -0.5 * k_mid + quarter_sum_k,
-            -0.5 * h_mid + quarter_sum_h,
-        ],
-        axis=-1,
-    )
-    return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+    return _cell_row_amplitudes(params, kappa, 3, t)
 
 
 def validate_analytic(params: SystemParams, which: str, times) -> float:
@@ -144,16 +77,12 @@ def validate_analytic(params: SystemParams, which: str, times) -> float:
 
     Builds the block selected by ``which`` (see ``extract_block``), evolves
     a unit excitation of the source atom numerically, and compares all block
-    components against ``analytic_u4``/``analytic_u6`` on the given time
-    grid.  Returns the largest absolute difference.
+    components against the closed form on the given time grid.  Returns the
+    largest absolute difference.
     """
     block = extract_block(params, which)
-    kappa = block_coupling(params, which)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if block.dim == 4:
-        analytic = analytic_u4(params, kappa, times)
-    else:
-        analytic = analytic_u6(params, kappa, times)
+    analytic = _cell_row_amplitudes(params, block_coupling(params, which), block.dim // 2, times)
     spectrum = eigendecompose(block)
     numeric = np.stack(
         [transition_amplitudes(spectrum, 1, component, times) for component in range(block.dim)],

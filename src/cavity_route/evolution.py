@@ -141,6 +141,11 @@ def eigendecompose(h: np.ndarray | BlockHamiltonian) -> Spectrum:
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
+def _spectrum(h: np.ndarray | BlockHamiltonian | Spectrum) -> Spectrum:
+    """``h`` itself if it is already decomposed, else its eigendecomposition."""
+    return h if isinstance(h, Spectrum) else eigendecompose(h)
+
+
 def propagate(spectrum: Spectrum, state: ExcitationState, t: float) -> ExcitationState:
     """Evolve ``state`` for time ``t``: ``V exp(-i L t) V^T`` on the amplitudes.
 
@@ -236,7 +241,7 @@ def _envelope_period(weights: np.ndarray, eigenvalues: np.ndarray) -> float:
 
 
 def find_transfer_time(
-    h: np.ndarray | BlockHamiltonian,
+    h: np.ndarray | BlockHamiltonian | Spectrum,
     source: int,
     target: int,
     window: tuple[float, float] = (0.0, 10.0),
@@ -253,8 +258,8 @@ def find_transfer_time(
 
     Parameters
     ----------
-    h : array or BlockHamiltonian
-        Real symmetric Hamiltonian.
+    h : array, BlockHamiltonian or Spectrum
+        Real symmetric Hamiltonian, or its eigendecomposition.
     source, target : int
         Basis indices of the prepared and the read-out mode.
     window : (float, float)
@@ -277,7 +282,7 @@ def find_transfer_time(
         raise ValueError(f"empty search window {window!r}")
     if not 3 <= grid_points <= ARRAY_BUDGET:
         raise ValueError(f"grid_points must be in [3, {ARRAY_BUDGET}], got {grid_points}")
-    spectrum = eigendecompose(h)
+    spectrum = _spectrum(h)
     ts = np.linspace(t_lo, t_hi, grid_points)
     amp = transition_amplitudes(spectrum, source, target, ts)
     f = np.abs(amp) ** 2
@@ -285,7 +290,8 @@ def find_transfer_time(
         raise FloatingPointError(f"non-finite transfer fidelity on the scan over {window!r}")
     v = spectrum.eigenvectors
     weights = v[target, :] * v[source, :]
-    interior = np.flatnonzero((f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:])) + 1
+    # a maximum rises strictly on its left, so a flat stretch gives one candidate, not all
+    interior = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:])) + 1
     if interior.size == 0:
         interior = np.array([int(np.argmax(f[1:-1])) + 1])
     peaks = interior[f[interior] >= float(f[interior].max()) - _CANDIDATE_BAND]
@@ -303,7 +309,7 @@ def find_transfer_time(
 
 
 def auto_grid_points(
-    h: np.ndarray | BlockHamiltonian,
+    h: np.ndarray | BlockHamiltonian | Spectrum,
     window: tuple[float, float],
     per_period: int = 8,
     floor: int = 20001,
@@ -313,7 +319,8 @@ def auto_grid_points(
     Returns at least ``floor`` points, and enough for ``per_period`` samples
     per period of the largest eigenvalue gap.  The default grid of
     ``find_transfer_time`` badly undersamples wide windows in the strongly
-    detuned regime; feed it this instead.  A grid above ``ARRAY_BUDGET``
+    detuned regime; feed it this instead.  ``h`` may be a ``Spectrum``, so
+    one decomposition serves both calls.  A grid above ``ARRAY_BUDGET``
     points raises ``ValueError``.
     """
     if per_period < 2:
@@ -321,7 +328,7 @@ def auto_grid_points(
     span = float(window[1]) - float(window[0])
     if span <= 0:
         raise ValueError(f"empty search window {window!r}")
-    eigenvalues = eigendecompose(h).eigenvalues
+    eigenvalues = _spectrum(h).eigenvalues
     spread = float(eigenvalues[-1] - eigenvalues[0])
     needed = span * spread * per_period / (2.0 * np.pi)
     # compared as a float: a huge window or spread would overflow the int cast

@@ -89,6 +89,24 @@ class TestTransferTime:
         assert abs(float(fields["t_star"]) - 2.2231) / 2.2231 <= 0.02
         assert float(fields["fidelity"]) >= 0.999
 
+    def test_one_eigendecomposition_per_search(self, tmp_path, capsys, monkeypatch):
+        from cavity_route import cli, evolution
+
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return original(h)
+
+        original = evolution.eigendecompose
+        # every module-level name bound to it, as the auto grid and the search look it up there
+        for module in (cli, evolution):
+            monkeypatch.setattr(module, "eigendecompose", counted, raising=False)
+        cfg = write_config(tmp_path, "c.json", {"block": "mid", "params": PARAMS})
+        code, _, _ = run_main(capsys, ["transfer-time", "--config", cfg])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_block_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"block": "end", "params": PARAMS})
         code, out, _ = run_main(

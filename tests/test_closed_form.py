@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_route import (
     DISPERSIVE,
     RESONANT,
-    AnalyticConstants,
     SystemParams,
     analytic_u4,
     analytic_u6,
@@ -19,24 +20,37 @@ RES_TIMES = np.linspace(0.0, 10.0, 101)
 DISP_TIMES = np.linspace(0.0, 600.0, 101)
 
 
-class TestAnalyticConstants:
-    def test_splittings(self):
-        p = SystemParams(omega_c=1.0, delta=-3.0, g=2.0, j=1.0)
-        kappa = 2.0 * p.j
-        c = AnalyticConstants.from_params(p, kappa)
-        assert c.split_sym == pytest.approx(np.hypot(kappa + p.delta, 2 * p.g))
-        assert c.split_asym == pytest.approx(np.hypot(kappa - p.delta, 2 * p.g))
-        assert c.split_mid == pytest.approx(np.hypot(p.delta, 2 * p.g))
-        assert c.split_upper == pytest.approx(np.hypot(np.sqrt(2) * kappa + p.delta, 2 * p.g))
-        assert c.split_lower == pytest.approx(np.hypot(np.sqrt(2) * kappa - p.delta, 2 * p.g))
+BLOCKS = ("end", "mid", "upload", "hop")
 
-    def test_resonant_sym_asym_degenerate(self):
-        c = AnalyticConstants.from_params(RESONANT, np.sqrt(2.0))
-        assert c.split_sym == c.split_asym
 
+class TestCellRow:
     def test_rejects_bad_kappa(self):
-        with pytest.raises(ValueError):
-            AnalyticConstants.from_params(RESONANT, 0.0)
+        for amplitudes in (analytic_u4, analytic_u6):
+            for kappa in (0.0, -1.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match="coupling"):
+                    amplitudes(RESONANT, kappa, 0.0)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        params=st.builds(
+            SystemParams,
+            omega_c=st.floats(-10.0, 10.0),
+            delta=st.floats(-1000.0, 1000.0),
+            g=st.floats(1.0, 100.0),
+            j=st.floats(0.2, 5.0),
+        ),
+        which=st.sampled_from(BLOCKS),
+        t_max=st.floats(1e-3, 600.0),
+    )
+    def test_matches_numeric_and_stays_normalised(self, params, which, t_max):
+        times = np.linspace(0.0, t_max, 41)
+        block = extract_block(params, which)
+        # rounding of the phases grows with t times the largest energy
+        scale = 1.0 + t_max * np.linalg.norm(block.matrix, np.inf)
+        assert validate_analytic(params, which, times) <= 1e-13 * scale
+        amplitudes = analytic_u4 if block.dim == 4 else analytic_u6
+        u = amplitudes(params, block_coupling(params, which), times)
+        assert np.abs(np.sum(np.abs(u) ** 2, axis=1) - 1.0).max() <= 1e-13
 
 
 class TestPairAmplitudes:
@@ -103,11 +117,11 @@ class TestTrioAmplitudes:
 
 
 class TestValidate:
-    @pytest.mark.parametrize("which", ["end", "mid", "upload", "hop"])
+    @pytest.mark.parametrize("which", BLOCKS)
     def test_resonant_error_small(self, which):
         assert validate_analytic(RESONANT, which, RES_TIMES) <= 1e-9
 
-    @pytest.mark.parametrize("which", ["end", "mid", "upload", "hop"])
+    @pytest.mark.parametrize("which", BLOCKS)
     def test_dispersive_error_small(self, which):
         assert validate_analytic(DISPERSIVE, which, DISP_TIMES) <= 1e-9
 

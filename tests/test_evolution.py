@@ -23,6 +23,7 @@ from cavity_route import (
     site_population,
     transition_amplitudes,
 )
+from cavity_route import evolution
 from cavity_route.network import ARRAY_BUDGET
 
 
@@ -188,14 +189,33 @@ class TestFindTransferTime:
         b = find_transfer_time(h, 1, 3, window=window, grid_points=n)
         assert a == b
 
-    def test_decoupled_pair_on_dispersive_grid(self):
-        # F is exactly 0, so every interior point of the ~770k-point grid is a candidate
+    def test_decoupled_pair_on_dispersive_grid(self, monkeypatch):
+        # F is exactly 0 on the ~770k-point grid: a flat stretch is no maximum, so the
+        # fallback hands one candidate to the refinement, not every interior point
+        sizes = []
+
+        def counted(weights, eigenvalues, t, lo, hi):
+            sizes.append(t.shape[0])
+            return newton(weights, eigenvalues, t, lo, hi)
+
+        newton = evolution._newton_peaks
+        monkeypatch.setattr(evolution, "_newton_peaks", counted)
         spec = NetworkSpec(sites=(Site(0, "a"), Site(1, "b")), edges=(), params=DISPERSIVE)
         h = build_single_excitation_hamiltonian(spec)
         window = (0.0, 600.0)
         r = find_transfer_time(h, 1, 3, window=window, grid_points=auto_grid_points(h, window))
         assert r.fidelity == 0.0
         assert window[0] < r.t_star < window[1]
+        assert sizes == [1]
+
+    def test_spectrum_passes_through(self):
+        h = extract_block(DISPERSIVE, "hop")
+        window = (0.0, 60.0)
+        spectrum = eigendecompose(h)
+        n = auto_grid_points(spectrum, window)
+        assert n == auto_grid_points(h, window)
+        expected = find_transfer_time(h, 1, 5, window=window, grid_points=n)
+        assert find_transfer_time(spectrum, 1, 5, window=window, grid_points=n) == expected
 
 
 SEARCH_PAIRS = {"end": (1, 3), "mid": (1, 5), "upload": (1, 3), "hop": (1, 5)}
