@@ -39,9 +39,12 @@ def _cell_row_amplitudes(params: SystemParams, kappa: float, cells: int, t) -> n
         raise ValueError(f"block coupling must be finite and positive, got {kappa}")
     m = np.arange(1, cells + 1)
     phi = math.sqrt(2.0 / (cells + 1)) * np.sin(np.pi * np.outer(m, m) / (cells + 1))  # symmetric
-    shift = 2.0 * kappa * np.cos(np.pi * m / (cells + 1))
-    d = shift + params.delta  # energy mismatch cavity-mode minus atom
-    splitting = np.hypot(d, 2.0 * params.g)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        shift = 2.0 * kappa * np.cos(np.pi * m / (cells + 1))
+        d = shift + params.delta  # energy mismatch cavity-mode minus atom
+        splitting = np.hypot(d, 2.0 * params.g)
+    if not (np.isfinite(shift).all() and np.isfinite(splitting).all()):
+        raise ValueError(f"closed form overflows: mode shifts {shift}, splittings {splitting}")
     mean = params.omega_c + 0.5 * (shift - params.delta)
     times = np.asarray(t, dtype=float)
     upper = np.exp(-1j * (mean - 0.5 * splitting) * times[..., None])

@@ -3,11 +3,13 @@
 All Hamiltonians here are small real symmetric matrices, so evolution is done
 through one eigendecomposition per matrix: ``psi(t) = V exp(-i L t) V^T
 psi(0)``.  This is exact up to rounding, unconditionally stable, and lets a
-whole grid of times be evaluated with one decomposition.
+whole grid of times be evaluated with one decomposition; a uniform grid is one
+product of row-start phases and one shared ladder of offset phases.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,8 +31,8 @@ __all__ = [
     "auto_grid_points",
 ]
 
-#: Points per evaluation chunk of a grid scan; bounds the ``points x dim``
-#: complex intermediate of a scan, whatever the grid size.
+#: Points per evaluation chunk at arbitrary times (``_amp_on_grid``, Newton);
+#: bounds their ``points x dim`` complex intermediate.  The uniform scan needs no chunks.
 _CHUNK = 65536
 
 #: Refined peaks are kept while scanning if their grid fidelity is within
@@ -170,15 +172,31 @@ def _amp_on_grid(weights: np.ndarray, eigenvalues: np.ndarray, times: np.ndarray
     return out
 
 
-def transition_amplitudes(
-    spectrum: Spectrum, source: int, target: int, times: np.ndarray
+def _amp_on_uniform_grid(
+    weights: np.ndarray, eigenvalues: np.ndarray, t_lo: float, step: float, n: int
 ) -> np.ndarray:
-    """Amplitudes ``<target| exp(-i H t) |source>`` for an array of times."""
+    """``_amp_on_grid`` at ``t_lo + i step``, ``i < n``, from ``~2 sqrt(n) dim`` exponentials."""
+    # point i = r m + c has phase lambda (t_lo + r m step) + lambda c step: head r times rung c
+    m = math.isqrt(n) + 1
+    heads = np.exp(np.outer(t_lo + np.arange(-(-n // m)) * (m * step), -1j * eigenvalues))
+    ladder = np.exp(np.outer(-1j * eigenvalues, np.arange(m) * step))
+    return ((heads * weights) @ ladder).ravel()[:n]
+
+
+def _transition_weights(spectrum: Spectrum, source: int, target: int) -> np.ndarray:
+    """Spectral weights ``v[target, k] v[source, k]`` of ``<target| exp(-i H t) |source>``."""
     for idx in (source, target):
         if not 0 <= idx < spectrum.dim:
             raise ValueError(f"basis index {idx} outside 0..{spectrum.dim - 1}")
     v = spectrum.eigenvectors
-    weights = v[target, :] * v[source, :]
+    return v[target, :] * v[source, :]
+
+
+def transition_amplitudes(
+    spectrum: Spectrum, source: int, target: int, times: np.ndarray
+) -> np.ndarray:
+    """Amplitudes ``<target| exp(-i H t) |source>`` for an array of times."""
+    weights = _transition_weights(spectrum, source, target)
     return _amp_on_grid(weights, spectrum.eigenvalues, np.atleast_1d(np.asarray(times, float)))
 
 
@@ -283,20 +301,19 @@ def find_transfer_time(
     if not 3 <= grid_points <= ARRAY_BUDGET:
         raise ValueError(f"grid_points must be in [3, {ARRAY_BUDGET}], got {grid_points}")
     spectrum = _spectrum(h)
-    ts = np.linspace(t_lo, t_hi, grid_points)
-    amp = transition_amplitudes(spectrum, source, target, ts)
+    weights = _transition_weights(spectrum, source, target)
+    ts, step = np.linspace(t_lo, t_hi, grid_points, retstep=True)
+    amp = _amp_on_uniform_grid(weights, spectrum.eigenvalues, t_lo, step, grid_points)
     f = np.abs(amp) ** 2
     if not np.isfinite(f).all():
         raise FloatingPointError(f"non-finite transfer fidelity on the scan over {window!r}")
-    v = spectrum.eigenvectors
-    weights = v[target, :] * v[source, :]
     # a maximum rises strictly on its left, so a flat stretch gives one candidate, not all
     interior = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:])) + 1
     if interior.size == 0:
         interior = np.array([int(np.argmax(f[1:-1])) + 1])
     peaks = interior[f[interior] >= float(f[interior].max()) - _CANDIDATE_BAND]
     t_new = _newton_peaks(weights, spectrum.eigenvalues, ts[peaks], ts[peaks - 1], ts[peaks + 1])
-    a_new = transition_amplitudes(spectrum, source, target, t_new)
+    a_new = _amp_on_grid(weights, spectrum.eigenvalues, t_new)
     # a peak that Newton did not improve keeps its grid point: never below the scan
     better = np.abs(a_new) ** 2 >= f[peaks]
     t_peak, a_peak = np.where(better, t_new, ts[peaks]), np.where(better, a_new, amp[peaks])

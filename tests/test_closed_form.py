@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,22 @@ class TestCellRow:
             for kappa in (0.0, -1.0, np.nan, np.inf):
                 with pytest.raises(ValueError, match="coupling"):
                     amplitudes(RESONANT, kappa, 0.0)
+
+    @pytest.mark.parametrize("amplitudes", [analytic_u4, analytic_u6])
+    @pytest.mark.parametrize(
+        "params, kappa",
+        [
+            (RESONANT, 1e308),
+            (dataclasses.replace(RESONANT, g=1e308), 1.0),
+            (dataclasses.replace(RESONANT, delta=1.7e308), 0.6e308),  # overflows shift + delta
+        ],
+    )
+    def test_refuses_overflowing_shift_or_splitting(self, amplitudes, params, kappa):
+        # refused before any exp: no NaN amplitudes and no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                amplitudes(params, kappa, 0.0)
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(

@@ -261,6 +261,74 @@ class TestSearchProperties:
         assert abs(fine.t_star - r.t_star) <= 1e-9
 
 
+@st.composite
+def uniform_grids(draw):
+    """Spectral weights, eigenvalues and a uniform grid ``(t_lo, step, n)``.
+
+    The matrix is a random real symmetric one or a protocol block in either regime;
+    ``n`` is tiny, next to a square (where the ladder's last row is full, one short
+    or one over), or anything up to 1e6.
+    """
+    if draw(st.booleans()):
+        dim = draw(st.integers(2, 8))
+        entries = draw(st.lists(st.floats(-1000.0, 1000.0), min_size=dim * dim, max_size=dim * dim))
+        a = np.reshape(entries, (dim, dim))
+        spectrum = eigendecompose(a + a.T)
+    else:
+        params = draw(st.sampled_from([RESONANT, DISPERSIVE]))
+        block = draw(st.sampled_from(sorted(SEARCH_PAIRS)))
+        spectrum = eigendecompose(extract_block(params, block))
+    index = st.integers(0, spectrum.dim - 1)
+    weights = evolution._transition_weights(spectrum, draw(index), draw(index))
+    t_lo, span = draw(st.floats(-600.0, 600.0)), draw(st.floats(1e-6, 600.0))
+    k = draw(st.integers(2, 1000))
+    n = draw(st.sampled_from([3, 4, k * k - 1, k * k, k * k + 1]) | st.integers(3, 10**6))
+    return weights, spectrum.eigenvalues, t_lo, span / (n - 1), n
+
+
+#: ``find_transfer_time`` on the CLI's auto grids, pinned from the per-point scan.
+PINNED_AUTO_SEARCHES = {
+    ("resonant", "end"): (2.2231494114374115, 0.9999985414671586, 2.489239568947271),
+    ("resonant", "mid"): (3.1414067935277687, 0.9998539897742134, -3.14140679352775),
+    ("resonant", "upload"): (1.5947737046804351, 0.9994251955169071, -0.023977377885541773),
+    ("resonant", "hop"): (2.223017938380948, 0.9997060275416372, 0.9185747152088269),
+    ("dispersive", "end"): (266.5735451646762, 0.9999956467418658, 2.040764272277931),
+    ("dispersive", "mid"): (376.9918858949116, 0.9999816182594441, -0.3844961339966463),
+    ("dispersive", "upload"): (188.4959398635186, 0.999995634270167, 2.950891334170152),
+    ("dispersive", "hop"): (266.57042541347624, 0.9999718131369257, -2.6794172006769235),
+}
+
+
+class TestUniformScan:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(case=uniform_grids())
+    def test_ladder_matches_per_point_phases(self, case):
+        weights, eigenvalues, t_lo, step, n = case
+        amp = evolution._amp_on_uniform_grid(weights, eigenvalues, t_lo, step, n)
+        assert amp.shape == (n,)
+        # both ends, where the ladder's rows start and stop, and a spread in between
+        spread = np.linspace(0, n - 1, 3000).astype(int)
+        idx = np.unique(np.r_[0 : min(n, 3000), max(0, n - 3000) : n, spread])
+        times = t_lo + idx * step
+        expected = evolution._amp_on_grid(weights, eigenvalues, times)
+        # phases round at eps * lambda * t on both sides
+        scale = 1.0 + np.abs(eigenvalues).max() * np.abs(times).max()
+        bound = 16 * np.finfo(float).eps * scale * np.abs(weights).sum()
+        assert np.abs(amp[idx] - expected).max() <= bound
+
+    @pytest.mark.parametrize("regime, block", sorted(PINNED_AUTO_SEARCHES))
+    def test_auto_search_matches_pinned(self, regime, block):
+        params, t_max = {"resonant": (RESONANT, 10.0), "dispersive": (DISPERSIVE, 600.0)}[regime]
+        window = (0.0, t_max)  # the CLI's default window
+        h = extract_block(params, block)
+        n = auto_grid_points(h, window)
+        r = find_transfer_time(h, *SEARCH_PAIRS[block], window=window, grid_points=n)
+        t_star, fidelity, phase = PINNED_AUTO_SEARCHES[regime, block]
+        assert abs(r.t_star - t_star) <= 1e-12
+        assert abs(r.fidelity - fidelity) <= 1e-12
+        assert abs(np.angle(np.exp(1j * (r.phase - phase)))) <= 1e-12
+
+
 class TestAutoGridPoints:
     def test_floor_applies_on_short_windows(self):
         h = extract_block(RESONANT, "end")
