@@ -7,117 +7,20 @@ eigendecomposition, locates transfer-time peaks, and runs routing schedules
 built from free evolution windows and local atomic phase flips.
 """
 
-from .closed_form import (
-    analytic_u4,
-    analytic_u6,
-    validate_analytic,
-)
-from .collective import (
-    BlockHamiltonian,
-    OrthogonalTransform,
-    block_coupling,
-    block_decompose,
-    chain_collective_basis,
-    extract_block,
-    lattice_collective_basis,
-    switch_collective_basis,
-)
-from .evolution import (
-    ExcitationState,
-    Spectrum,
-    TransferResult,
-    auto_grid_points,
-    eigendecompose,
-    find_transfer_time,
-    photon_population,
-    propagate,
-    site_population,
-    transition_amplitudes,
-)
-from .network import (
-    DISPERSIVE,
-    HADAMARD_SIGNS,
-    RESONANT,
-    HexLatticeDescriptor,
-    HexLayout,
-    NetworkSpec,
-    Site,
-    SystemParams,
-    atom_index,
-    build_diamond_chain,
-    build_hex_lattice,
-    build_single_excitation_hamiltonian,
-    build_switch,
-    cavity_index,
-    hex_lattice_layout,
-)
-from .routing import (
-    EntanglementResult,
-    Evolve,
-    PhaseFlip,
-    PhaseShift,
-    Schedule,
-    TraceResult,
-    chain_routing_schedule,
-    entanglement_transfer,
-    hex_routing_schedule,
-    local_phase_flip,
-    run_schedule,
-    switch_port_flip,
-    switch_schedule,
-)
+from . import closed_form, collective, evolution, network, routing
+from .closed_form import *  # noqa: F403
+from .collective import *  # noqa: F403
+from .evolution import *  # noqa: F403
+from .network import *  # noqa: F403
+from .routing import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockHamiltonian",
-    "DISPERSIVE",
-    "EntanglementResult",
-    "Evolve",
-    "ExcitationState",
-    "HADAMARD_SIGNS",
-    "HexLatticeDescriptor",
-    "HexLayout",
-    "NetworkSpec",
-    "OrthogonalTransform",
-    "PhaseFlip",
-    "PhaseShift",
-    "RESONANT",
-    "Schedule",
-    "Site",
-    "Spectrum",
-    "SystemParams",
-    "TraceResult",
-    "TransferResult",
-    "analytic_u4",
-    "analytic_u6",
-    "atom_index",
-    "auto_grid_points",
-    "block_coupling",
-    "block_decompose",
-    "build_diamond_chain",
-    "build_hex_lattice",
-    "build_single_excitation_hamiltonian",
-    "build_switch",
-    "cavity_index",
-    "chain_collective_basis",
-    "chain_routing_schedule",
-    "eigendecompose",
-    "entanglement_transfer",
-    "extract_block",
-    "find_transfer_time",
-    "hex_lattice_layout",
-    "hex_routing_schedule",
-    "lattice_collective_basis",
-    "local_phase_flip",
-    "photon_population",
-    "propagate",
-    "run_schedule",
-    "site_population",
-    "switch_collective_basis",
-    "switch_port_flip",
-    "switch_schedule",
-    "transition_amplitudes",
-    "validate_analytic",
+    *closed_form.__all__,
+    *collective.__all__,
+    *evolution.__all__,
+    *network.__all__,
+    *routing.__all__,
     "__version__",
 ]

@@ -70,6 +70,8 @@ from .network import (
     HexLatticeDescriptor,
     NetworkSpec,
     SystemParams,
+    _is_real,
+    atom_index,
     build_diamond_chain,
     build_hex_lattice,
     build_single_excitation_hamiltonian,
@@ -117,9 +119,8 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def _real(value, label: str) -> float:
-    """``value`` as a float; the bound refuses nan, inf and ints beyond the float range."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and abs(value) <= sys.float_info.max):
+    """``value`` as a float; nan, inf, bools and ints beyond the float range are refused."""
+    if not _is_real(value):
         raise ConfigError(f"{label} must be a finite number, got {value!r}")
     return float(value)
 
@@ -216,30 +217,24 @@ def _check_finite(**values) -> None:
 def emit_trace_csv(
     trace: TraceResult,
     path: str,
-    t_star: float | None = None,
-    fidelity: float | None = None,
-    phase: float | None = None,
-    extra_comments: tuple[str, ...] = (),
+    fidelity: float,
+    phase: float,
+    extra_comments: tuple[str, ...],
 ) -> None:
     """Write a population trace as CSV.
 
     Header ``t,F,<labels>,norm``; one row per sample with 12 significant
-    digits; footer comment ``# t_star=.. fidelity=.. phase=..`` (preceded by
-    any extra comment lines).  Defaults report the end of the schedule.
+    digits; footer comment ``# t_star=.. fidelity=.. phase=..`` with
+    ``t_star`` the end of the schedule (preceded by any extra comment lines).
     """
     if trace.num_samples == 0:
         raise ValueError("refusing to write an empty trace")
-    t_star = trace.total_time if t_star is None else t_star
-    fidelity = trace.final_population if fidelity is None else fidelity
-    phase = trace.final_phase if phase is None else phase
+    row = ",".join(["%.12g"] * (2 + len(trace.labels)) + ["%.12f"])
+    columns = [trace.times, trace.photon, trace.populations, trace.norms]
     lines = ["t,F," + ",".join(trace.labels) + ",norm"]
-    for i in range(trace.num_samples):
-        row = [f"{trace.times[i]:.12g}", f"{trace.photon[i]:.12g}"]
-        row.extend(f"{p:.12g}" for p in trace.populations[i])
-        row.append(f"{trace.norms[i]:.12f}")
-        lines.append(",".join(row))
+    lines.extend(row % tuple(values) for values in np.column_stack(columns).tolist())
     lines.extend(extra_comments)
-    lines.append(f"# t_star={t_star:.12g} fidelity={fidelity:.12g} phase={phase:.12g}")
+    lines.append(f"# t_star={trace.total_time:.12g} fidelity={fidelity:.12g} phase={phase:.12g}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -347,7 +342,7 @@ def _run_switch(cfg: dict, proto: dict, params: SystemParams, times, samples: in
     """steer through the four-port switch"""
     port = _count(proto.get("port"), "switch 'port'", 1, 3)
     spec = build_switch(params)
-    track = [(f"atom[{spec.sites[k].label}]", 2 * k + 1) for k in range(4)]
+    track = [(f"atom[{spec.sites[k].label}]", atom_index(k)) for k in range(4)]
     schedule = switch_schedule(port, *times)
     trace = run_schedule(spec, schedule, samples_per_window=samples, track=track)
     leakage = sum(site_population(trace.final_state, k, "atom") for k in (1, 2, 3) if k != port)

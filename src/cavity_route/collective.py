@@ -8,7 +8,7 @@ and verifies that the transformed Hamiltonian is block diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -17,8 +17,10 @@ from .network import (
     HADAMARD_SIGNS,
     HexLatticeDescriptor,
     NetworkSpec,
+    Site,
     SystemParams,
     atom_index,
+    build_single_excitation_hamiltonian,
     cavity_index,
     hex_lattice_layout,
 )
@@ -32,15 +34,7 @@ __all__ = [
     "block_decompose",
     "extract_block",
     "block_coupling",
-    "CHAIN_COUPLING_SCALE",
-    "LATTICE_COUPLING_SCALE",
 ]
-
-#: Cavity-cavity coupling inside a chain block is sqrt(2)*j ...
-CHAIN_COUPLING_SCALE = float(np.sqrt(2.0))
-#: ... and inside a switch/lattice block it is 2*j (four Hadamard-signed
-#: couplings of magnitude j collapse onto one collective mode).
-LATTICE_COUPLING_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -247,21 +241,20 @@ def block_decompose(
 
 def _cell_row(params: SystemParams, kappa: float, cells: int) -> np.ndarray:
     """``cells`` identical atom-cavity cells in a row; neighbouring cavities hop with ``kappa``."""
-    h = np.zeros((2 * cells, 2 * cells))
-    c = np.arange(0, 2 * cells, 2)
-    h[c, c] = params.omega_c
-    h[c + 1, c + 1] = params.omega_a
-    h[c, c + 1] = h[c + 1, c] = params.g
-    h[c[:-1], c[1:]] = h[c[1:], c[:-1]] = kappa
-    return h
+    sites = tuple(Site(id=cell, label=str(cell)) for cell in range(cells))
+    edges = tuple((cell, cell + 1, 1) for cell in range(cells - 1))
+    return build_single_excitation_hamiltonian(NetworkSpec(sites, edges, replace(params, j=kappa)))
 
 
-#: Block name -> (cells in the row, coupling scale).
+#: Block name -> (cells in the row, coupling scale).  The cavity-cavity
+#: coupling is sqrt(2) j inside a chain block, and 2 j inside a switch or
+#: lattice block (four Hadamard-signed couplings of magnitude j collapse onto
+#: one collective mode).
 _BLOCKS = {
-    "end": (2, CHAIN_COUPLING_SCALE),
-    "mid": (3, CHAIN_COUPLING_SCALE),
-    "upload": (2, LATTICE_COUPLING_SCALE),
-    "hop": (3, LATTICE_COUPLING_SCALE),
+    "end": (2, float(np.sqrt(2.0))),
+    "mid": (3, float(np.sqrt(2.0))),
+    "upload": (2, 2.0),
+    "hop": (3, 2.0),
 }
 
 
@@ -271,7 +264,7 @@ def _block_kind(which: str):
     return _BLOCKS[which]
 
 
-def extract_block(spec: NetworkSpec | SystemParams, which: str) -> BlockHamiltonian:
+def extract_block(params: SystemParams, which: str) -> BlockHamiltonian:
     """Build one block matrix directly from the physical parameters.
 
     Block names: ``end`` (chain sender/receiver block, 4x4, coupling
@@ -284,17 +277,14 @@ def extract_block(spec: NetworkSpec | SystemParams, which: str) -> BlockHamilton
     ``block_decompose`` to rounding accuracy; blocks built here are handy for
     transfer-time searches without assembling a whole network.
     """
-    params = spec.params if isinstance(spec, NetworkSpec) else spec
     if not isinstance(params, SystemParams):
-        raise ValueError("spec must be a NetworkSpec or SystemParams")
+        raise ValueError("params must be a SystemParams")
     cells, scale = _block_kind(which)
     matrix = _cell_row(params, scale * params.j, cells)
     labels = tuple(f"{tag}{cell}" for cell in range(cells) for tag in ("cav", "atom"))
     return BlockHamiltonian(matrix=matrix, labels=labels, name=which)
 
 
-def block_coupling(params: NetworkSpec | SystemParams, which: str) -> float:
+def block_coupling(params: SystemParams, which: str) -> float:
     """Cavity-cavity coupling inside the block named by ``which``."""
-    if isinstance(params, NetworkSpec):
-        params = params.params
     return _block_kind(which)[1] * params.j

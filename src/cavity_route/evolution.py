@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .collective import BlockHamiltonian
-from .network import ARRAY_BUDGET
+from .network import ARRAY_BUDGET, atom_index, cavity_index
 
 __all__ = [
     "ExcitationState",
@@ -31,8 +31,8 @@ __all__ = [
     "auto_grid_points",
 ]
 
-#: Points per evaluation chunk at arbitrary times (``_amp_on_grid``, Newton);
-#: bounds their ``points x dim`` complex intermediate.  The uniform scan needs no chunks.
+#: Points per evaluation chunk at arbitrary times (``_amp_on_grid``, Newton included);
+#: bounds its ``points x dim`` complex intermediate.  The uniform scan needs no chunks.
 _CHUNK = 65536
 
 #: Refined peaks are kept while scanning if their grid fidelity is within
@@ -42,6 +42,11 @@ _CANDIDATE_BAND = 5e-3
 
 #: Newton steps per candidate; three reach rounding level on auto_grid_points grids.
 _NEWTON_STEPS = 5
+
+#: ``auto_grid_points`` samples the fastest Bohr period this often, on at least
+#: ``_GRID_FLOOR`` points.
+_GRID_PER_PERIOD = 8
+_GRID_FLOOR = 20001
 
 #: Bohr frequencies enter the envelope-period estimate only if the
 #: corresponding pair of spectral weights is at least this fraction of the
@@ -90,11 +95,7 @@ class ExcitationState:
     @classmethod
     def excitation(cls, dim: int, index: int) -> "ExcitationState":
         """Unit excitation in one mode."""
-        if not 0 <= index < dim:
-            raise ValueError(f"mode index {index} outside 0..{dim - 1}")
-        amps = np.zeros(dim, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps=amps)
+        return cls.with_vacuum(dim, index, 1.0, 0.0)
 
     @classmethod
     def with_vacuum(
@@ -148,6 +149,13 @@ def _spectrum(h: np.ndarray | BlockHamiltonian | Spectrum) -> Spectrum:
     return h if isinstance(h, Spectrum) else eigendecompose(h)
 
 
+def _evolve(spectrum: Spectrum, amps: np.ndarray, times) -> np.ndarray:
+    """``V exp(-i L t) V^T amps`` for every ``t``: one column per time."""
+    v = spectrum.eigenvectors
+    phases = np.exp(-1j * np.outer(spectrum.eigenvalues, times))
+    return v @ (phases * (v.T @ amps)[:, None])
+
+
 def propagate(spectrum: Spectrum, state: ExcitationState, t: float) -> ExcitationState:
     """Evolve ``state`` for time ``t``: ``V exp(-i L t) V^T`` on the amplitudes.
 
@@ -155,16 +163,16 @@ def propagate(spectrum: Spectrum, state: ExcitationState, t: float) -> Excitatio
     """
     if state.dim != spectrum.dim:
         raise ValueError(f"state dim {state.dim} != spectrum dim {spectrum.dim}")
-    v = spectrum.eigenvectors
-    phases = np.exp(-1j * spectrum.eigenvalues * t)
-    amps = v @ (phases * (v.T @ state.amps))
-    return ExcitationState(amps=amps, vac=state.vac)
+    return ExcitationState(amps=_evolve(spectrum, state.amps, [t])[:, 0], vac=state.vac)
 
 
 def _amp_on_grid(weights: np.ndarray, eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``sum_k w_k exp(-i lambda_k t)`` for every t, ``_CHUNK`` points at a time."""
+    """``sum_k w_k exp(-i lambda_k t)`` for every t, ``_CHUNK`` points at a time.
+
+    ``weights`` may carry trailing columns; each gives one column of the result.
+    """
     times = np.asarray(times, dtype=float)
-    out = np.empty(times.shape[0], dtype=complex)
+    out = np.empty((times.shape[0], *weights.shape[1:]), dtype=complex)
     for start in range(0, times.shape[0], _CHUNK):
         # no name for the exp block: it must be freed before the next chunk's
         chunk = times[start : start + _CHUNK]
@@ -200,13 +208,8 @@ def transition_amplitudes(
     return _amp_on_grid(weights, spectrum.eigenvalues, np.atleast_1d(np.asarray(times, float)))
 
 
-def photon_population(state: ExcitationState, spec=None) -> float:
-    """Total photon population: sum of ``|amps|^2`` over cavity rows.
-
-    ``spec`` is optional and only used to cross-check the state dimension.
-    """
-    if spec is not None and state.dim != 2 * spec.num_sites:
-        raise ValueError(f"state dim {state.dim} does not match spec dim {2 * spec.num_sites}")
+def photon_population(state: ExcitationState) -> float:
+    """Total photon population: sum of ``|amps|^2`` over cavity rows."""
     return float((np.abs(state.amps[0::2]) ** 2).sum())
 
 
@@ -214,7 +217,7 @@ def site_population(state: ExcitationState, site: int, kind: str) -> float:
     """Population of one site mode; ``kind`` is ``"cavity"`` or ``"atom"``."""
     if kind not in ("cavity", "atom"):
         raise ValueError(f"kind must be 'cavity' or 'atom', got {kind!r}")
-    index = 2 * site + (1 if kind == "atom" else 0)
+    index = (atom_index if kind == "atom" else cavity_index)(site)
     if not 0 <= index < state.dim:
         raise ValueError(f"site {site} outside the network")
     return state.population(index)
@@ -226,18 +229,15 @@ def _newton_peaks(
     """Newton on ``F'(t) = 0`` from all grid maxima ``t`` at once; returns the new times.
 
     ``F'/2 = Re(conj(A) A')`` and ``F''/2 = |A'|^2 + Re(conj(A) A'')`` come from one
-    exponential block per step; a candidate moves only where ``F'' < 0``, inside ``[lo, hi]``.
+    ``_amp_on_grid`` per step; a candidate moves only where ``F'' < 0``, inside ``[lo, hi]``.
     """
     derivatives = np.stack([weights, -1j * eigenvalues * weights, -eigenvalues**2 * weights], 1)
-    t = t.copy()
-    for start in range(0, t.shape[0], _CHUNK):
-        part = slice(start, start + _CHUNK)
-        for _ in range(_NEWTON_STEPS):
-            a, a1, a2 = (np.exp(np.outer(t[part], -1j * eigenvalues)) @ derivatives).T
-            slope = (a.conj() * a1).real
-            curvature = np.abs(a1) ** 2 + (a.conj() * a2).real
-            shift = np.divide(slope, curvature, out=np.zeros_like(slope), where=curvature < 0)
-            t[part] = np.clip(t[part] - shift, lo[part], hi[part])
+    for _ in range(_NEWTON_STEPS):
+        a, a1, a2 = _amp_on_grid(derivatives, eigenvalues, t).T
+        slope = (a.conj() * a1).real
+        curvature = np.abs(a1) ** 2 + (a.conj() * a2).real
+        shift = np.divide(slope, curvature, out=np.zeros_like(slope), where=curvature < 0)
+        t = np.clip(t - shift, lo, hi)
     return t
 
 
@@ -326,29 +326,24 @@ def find_transfer_time(
 
 
 def auto_grid_points(
-    h: np.ndarray | BlockHamiltonian | Spectrum,
-    window: tuple[float, float],
-    per_period: int = 8,
-    floor: int = 20001,
+    h: np.ndarray | BlockHamiltonian | Spectrum, window: tuple[float, float]
 ) -> int:
     """Grid size resolving the fastest Bohr oscillation over ``window``.
 
-    Returns at least ``floor`` points, and enough for ``per_period`` samples
-    per period of the largest eigenvalue gap.  The default grid of
-    ``find_transfer_time`` badly undersamples wide windows in the strongly
-    detuned regime; feed it this instead.  ``h`` may be a ``Spectrum``, so
-    one decomposition serves both calls.  A grid above ``ARRAY_BUDGET``
-    points raises ``ValueError``.
+    Returns at least ``_GRID_FLOOR`` points, and enough for
+    ``_GRID_PER_PERIOD`` samples per period of the largest eigenvalue gap.
+    The default grid of ``find_transfer_time`` badly undersamples wide
+    windows in the strongly detuned regime; feed it this instead.  ``h`` may
+    be a ``Spectrum``, so one decomposition serves both calls.  A grid above
+    ``ARRAY_BUDGET`` points raises ``ValueError``.
     """
-    if per_period < 2:
-        raise ValueError(f"per_period must be >= 2, got {per_period}")
     span = float(window[1]) - float(window[0])
     if span <= 0:
         raise ValueError(f"empty search window {window!r}")
     eigenvalues = _spectrum(h).eigenvalues
     spread = float(eigenvalues[-1] - eigenvalues[0])
-    needed = span * spread * per_period / (2.0 * np.pi)
+    needed = span * spread * _GRID_PER_PERIOD / (2.0 * np.pi)
     # compared as a float: a huge window or spread would overflow the int cast
     if not needed < ARRAY_BUDGET:
         raise ValueError(f"a grid of {needed:.3g} points exceeds the budget of {ARRAY_BUDGET}")
-    return max(floor, int(np.ceil(needed)) + 1)
+    return max(_GRID_FLOOR, int(np.ceil(needed)) + 1)

@@ -73,6 +73,12 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A finite int or float that is not a bool; the bound refuses nan, inf and huge ints."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
 def _listed(value, what: str, item=object) -> tuple:
     """``value`` as a tuple; it must be a list or tuple of ``item`` instances."""
     if not (isinstance(value, (list, tuple)) and all(isinstance(v, item) for v in value)):
@@ -116,9 +122,7 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in ("omega_c", "delta", "g", "j", "omega_a"):
             value = getattr(self, name)
-            # the bound refuses nan, inf and ints beyond the float range
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and abs(value) <= sys.float_info.max):
+            if not _is_real(value):
                 raise ValueError(f"parameter {name!r} must be a finite number, got {value!r}")
         if self.g <= 0:
             raise ValueError(f"coupling g must be positive, got {self.g}")

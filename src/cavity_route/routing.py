@@ -4,8 +4,9 @@ A schedule is a list of steps.  ``Evolve`` propagates the whole network for a
 fixed duration; ``PhaseFlip`` multiplies the atom amplitude of selected sites
 by -1 (a local sigma_z on each listed atom), which exchanges symmetric and
 antisymmetric collective modes and thereby hands the excitation from one
-invariant block to the next.  ``PhaseShift`` applies an arbitrary phase to
-one atom; the entanglement protocol uses it to undo the transfer phase.
+invariant block to the next.  ``PhaseShift`` multiplies one atom amplitude
+by an arbitrary phase.  ``entanglement_transfer`` applies no such step: it
+computes the phase-compensated Bell fidelity from the transfer amplitude.
 
 ``run_schedule`` always evolves under the full network Hamiltonian - the
 block picture is what the tests check it against, not what it computes.
@@ -15,18 +16,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
-from .evolution import ExcitationState, Spectrum, eigendecompose
+from .evolution import ExcitationState, _evolve, eigendecompose
 from .network import (
     ARRAY_BUDGET,
     HADAMARD_SIGNS,
     HexLatticeDescriptor,
     NetworkSpec,
+    _is_index,
+    _is_real,
     atom_index,
     build_single_excitation_hamiltonian,
+    cavity_index,
     hex_lattice_layout,
 )
 
@@ -50,6 +54,11 @@ __all__ = [
 ]
 
 
+def _check_site(site, what: str) -> None:
+    if not (_is_index(site) and site >= 0):
+        raise ValueError(f"{what} must be an integer >= 0, got {site!r}")
+
+
 @dataclass(frozen=True)
 class Evolve:
     duration: float
@@ -61,12 +70,15 @@ class Evolve:
 
 @dataclass(frozen=True)
 class PhaseFlip:
-    """Multiply the atom amplitude of each listed site by -1."""
+    """Multiply the atom amplitude of each listed site by ``factor = -1``."""
 
     atom_sites: tuple[int, ...]
+    factor: ClassVar[int] = -1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atom_sites", tuple(self.atom_sites))
+        for site in self.atom_sites:
+            _check_site(site, "phase flip site")
         if len(set(self.atom_sites)) != len(self.atom_sites):
             raise ValueError("duplicate site in phase flip")
         if not self.atom_sites:
@@ -75,10 +87,24 @@ class PhaseFlip:
 
 @dataclass(frozen=True)
 class PhaseShift:
-    """Multiply one atom amplitude by ``exp(i angle)``."""
+    """Multiply the atom amplitude of ``site`` (the one entry of ``atom_sites``) by
+    ``factor = exp(i angle)``."""
 
     site: int
     angle: float
+
+    def __post_init__(self) -> None:
+        _check_site(self.site, "phase shift site")
+        if not _is_real(self.angle):
+            raise ValueError(f"phase shift angle must be a finite number, got {self.angle!r}")
+
+    @property
+    def atom_sites(self) -> tuple[int]:
+        return (self.site,)
+
+    @property
+    def factor(self) -> complex:
+        return np.exp(1j * self.angle)
 
 
 Step = Union[Evolve, PhaseFlip, PhaseShift]
@@ -101,8 +127,7 @@ class Schedule:
         for name, (site, kind) in (("source", self.source), ("target", self.target)):
             if kind not in ("atom", "cavity"):
                 raise ValueError(f"{name} kind must be 'atom' or 'cavity', got {kind!r}")
-            if site < 0:
-                raise ValueError(f"{name} site must be >= 0, got {site}")
+            _check_site(site, f"{name} site")
 
     def total_evolve_time(self) -> float:
         """Exact (order-independent) sum of all evolution windows."""
@@ -112,15 +137,20 @@ class Schedule:
         return sum(1 for step in self.steps if isinstance(step, PhaseFlip))
 
 
-def local_phase_flip(state: ExcitationState, atom_sites) -> ExcitationState:
-    """Flip the sign of the atom amplitude at each listed site."""
+def _scale_atoms(state: ExcitationState, atom_sites, factor: complex) -> ExcitationState:
+    """Multiply the atom amplitude at each listed site by ``factor``."""
     amps = state.amps.copy()
     for site in atom_sites:
         index = atom_index(site)
         if not 0 <= index < state.dim:
             raise ValueError(f"site {site} outside the network")
-        amps[index] = -amps[index]
+        amps[index] *= factor
     return ExcitationState(amps=amps, vac=state.vac)
+
+
+def local_phase_flip(state: ExcitationState, atom_sites) -> ExcitationState:
+    """Flip the sign of the atom amplitude at each listed site."""
+    return _scale_atoms(state, atom_sites, PhaseFlip.factor)
 
 
 def chain_routing_schedule(n: int, t1: float, t2: float) -> Schedule:
@@ -264,20 +294,7 @@ class TraceResult:
 def _mode_index(spec: NetworkSpec, site: int, kind: str) -> int:
     if not 0 <= site < spec.num_sites:
         raise ValueError(f"site {site} outside 0..{spec.num_sites - 1}")
-    return 2 * site + (1 if kind == "atom" else 0)
-
-
-def _apply_instant(state: ExcitationState, step: Step) -> ExcitationState:
-    if isinstance(step, PhaseFlip):
-        return local_phase_flip(state, step.atom_sites)
-    if isinstance(step, PhaseShift):
-        amps = state.amps.copy()
-        index = atom_index(step.site)
-        if not 0 <= index < state.dim:
-            raise ValueError(f"site {step.site} outside the network")
-        amps[index] = amps[index] * np.exp(1j * step.angle)
-        return ExcitationState(amps=amps, vac=state.vac)
-    raise TypeError(f"unknown instantaneous step {step!r}")
+    return (atom_index if kind == "atom" else cavity_index)(site)
 
 
 def run_schedule(
@@ -309,9 +326,8 @@ def run_schedule(
     if initial.dim != spec.dim:
         raise ValueError(f"initial state dim {initial.dim} != network dim {spec.dim}")
     for step in schedule.steps:
-        if isinstance(step, (PhaseFlip, PhaseShift)):
-            sites = step.atom_sites if isinstance(step, PhaseFlip) else (step.site,)
-            for site in sites:
+        if not isinstance(step, Evolve):
+            for site in step.atom_sites:
                 _mode_index(spec, site, "atom")
     if track is None:
         track = [(f"atom[{spec.sites[schedule.source[0]].label}]", src)]
@@ -321,8 +337,7 @@ def run_schedule(
     mode_rows = np.array([index for _, index in track], dtype=int)
 
     h = build_single_excitation_hamiltonian(spec)
-    spectrum: Spectrum = eigendecompose(h)
-    v = spectrum.eigenvectors
+    spectrum = eigendecompose(h)
 
     times: list[np.ndarray] = []
     photon: list[np.ndarray] = []
@@ -334,11 +349,10 @@ def run_schedule(
     norm0 = np.sqrt(initial.norm_sq)
     for step in schedule.steps:
         if not isinstance(step, Evolve):
-            state = _apply_instant(state, step)
+            state = _scale_atoms(state, step.atom_sites, step.factor)
             continue
         taus = np.linspace(0.0, step.duration, samples_per_window)
-        phases = np.exp(-1j * np.outer(spectrum.eigenvalues, taus))
-        evolved = v @ (phases * (v.T @ state.amps)[:, None])  # (dim, samples)
+        evolved = _evolve(spectrum, state.amps, taus)  # (dim, samples)
         pops = np.abs(evolved) ** 2
         keep = slice(None) if first_window else slice(1, None)
         times.append(t_offset + taus[keep])

@@ -1,0 +1,13 @@
+"""Pins the OpenBLAS kernel family before numpy loads.
+
+The golden bytes (``golden/cli.json``) and the pinned transfer-time searches
+depend on which OpenBLAS kernel runs: AVX-512 kernels round some sums
+differently from AVX2 ones.  AVX2 (``Haswell``) kernels run on any x86-64
+machine with AVX2, every current CI runner included, so the data is generated
+and checked with them; other architectures ignore the variable.  A kernel
+already named in the environment is kept.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")

@@ -131,12 +131,6 @@ class TestExtractBlock:
             with pytest.raises(ValueError, match="unknown block name"):
                 block_coupling(RESONANT, alias)
 
-    def test_accepts_network_spec(self):
-        spec = build_diamond_chain(1, DISPERSIVE)
-        assert np.array_equal(
-            extract_block(spec, "end").matrix, extract_block(DISPERSIVE, "end").matrix
-        )
-
     def test_pair_block_layout(self):
         params = SystemParams(omega_c=2.0, delta=0.5, g=3.0, j=1.25)
         kappa = np.sqrt(2.0) * params.j

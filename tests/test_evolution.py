@@ -286,16 +286,16 @@ def uniform_grids(draw):
     return weights, spectrum.eigenvalues, t_lo, span / (n - 1), n
 
 
-#: ``find_transfer_time`` on the CLI's auto grids, pinned from the per-point scan.
+#: ``find_transfer_time`` on the CLI's auto grids, pinned under the BLAS kernel of ``conftest.py``.
 PINNED_AUTO_SEARCHES = {
     ("resonant", "end"): (2.2231494114374115, 0.9999985414671586, 2.489239568947271),
-    ("resonant", "mid"): (3.1414067935277687, 0.9998539897742134, -3.14140679352775),
-    ("resonant", "upload"): (1.5947737046804351, 0.9994251955169071, -0.023977377885541773),
-    ("resonant", "hop"): (2.223017938380948, 0.9997060275416372, 0.9185747152088269),
+    ("resonant", "mid"): (3.141406793527768, 0.9998539897742122, -3.1414067935277714),
+    ("resonant", "upload"): (1.5947737046804351, 0.9994251955169071, -0.02397737788554177),
+    ("resonant", "hop"): (2.223017938380949, 0.9997060275416358, 0.9185747152088342),
     ("dispersive", "end"): (266.5735451646762, 0.9999956467418658, 2.040764272277931),
-    ("dispersive", "mid"): (376.9918858949116, 0.9999816182594441, -0.3844961339966463),
+    ("dispersive", "mid"): (376.9918858949117, 0.9999816182599841, -0.3844961340256955),
     ("dispersive", "upload"): (188.4959398635186, 0.999995634270167, 2.950891334170152),
-    ("dispersive", "hop"): (266.57042541347624, 0.9999718131369257, -2.6794172006769235),
+    ("dispersive", "hop"): (266.57042541347624, 0.9999718131381847, -2.679417200676919),
 }
 
 

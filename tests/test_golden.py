@@ -3,8 +3,10 @@
 The cases are the README configs in both regimes, mostly with explicit
 times; each protocol also has one resonant ``"times": "auto"`` case.  The
 expected output lives in ``golden/cli.json``.  After a change that is meant
-to alter output, regenerate it with ``PYTHONPATH=src python tests/test_golden.py``
-and justify every changed digit.
+to alter output, regenerate it with
+``OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_golden.py`` and
+justify every changed digit.  The bytes depend on the BLAS kernel family,
+which ``conftest.py`` pins for the suite and for this script alike.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import conftest  # noqa: F401  pins the BLAS kernel before numpy loads, also as a script
 from cavity_route.cli import main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"

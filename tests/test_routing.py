@@ -53,6 +53,38 @@ class TestSteps:
         with pytest.raises(ValueError):
             Schedule(steps=(Evolve(1.0),), source=(0, "spin"), target=(1, "atom"))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PhaseShift(site=6, angle=math.nan),
+            lambda: PhaseShift(site=6, angle=math.inf),
+            lambda: PhaseShift(site=6, angle="0.5"),
+            lambda: PhaseShift(site=6.0, angle=0.5),
+            lambda: PhaseShift(site=True, angle=0.5),
+            lambda: PhaseShift(site=-1, angle=0.5),
+            lambda: PhaseFlip((2.0,)),
+            lambda: PhaseFlip((True, 2)),
+            lambda: Schedule(steps=(Evolve(1.0),), source=(0.0, "atom"), target=(1, "atom")),
+            lambda: Schedule(steps=(Evolve(1.0),), source=(0, "atom"), target=(False, "atom")),
+        ],
+        ids=[
+            "shift-nan-angle",
+            "shift-inf-angle",
+            "shift-str-angle",
+            "shift-float-site",
+            "shift-bool-site",
+            "shift-negative-site",
+            "flip-float-site",
+            "flip-bool-site",
+            "schedule-float-source",
+            "schedule-bool-target",
+        ],
+    )
+    def test_malformed_step_rejected_at_construction(self, make):
+        # ids are never coerced and angles are finite, as in NetworkSpec
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestChainSchedule:
     def test_single_unit_structure(self):
