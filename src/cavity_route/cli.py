@@ -70,7 +70,8 @@ from .network import (
     HexLatticeDescriptor,
     NetworkSpec,
     SystemParams,
-    _is_real,
+    _count,
+    _real,
     atom_index,
     build_diamond_chain,
     build_hex_lattice,
@@ -116,20 +117,6 @@ def _section(cfg: dict, name: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"'{name}' must be an object")
     return section
-
-
-def _real(value, label: str) -> float:
-    """``value`` as a float; nan, inf, bools and ints beyond the float range are refused."""
-    if not _is_real(value):
-        raise ConfigError(f"{label} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _count(value, label: str, low: int, high: int) -> int:
-    """``value`` as an int in ``[low, high]``, refusing bools and non-integers."""
-    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
-        raise ConfigError(f"{label} must be an integer in [{low}, {high}], got {value!r}")
-    return value
 
 
 def _lookup(flag, cfg: dict, key: str):
@@ -352,10 +339,7 @@ def _run_switch(cfg: dict, proto: dict, params: SystemParams, times, samples: in
 def _run_route(cfg: dict, proto: dict, params: SystemParams, times, samples: int):
     """route along a lattice vertex path"""
     desc = _descriptor(cfg)
-    path = proto.get("path")
-    if not isinstance(path, list) or len(path) < 2:
-        raise ConfigError("hex route needs a 'path' list of at least two vertices")
-    schedule = hex_routing_schedule(desc, path, *times)
+    schedule = hex_routing_schedule(desc, proto.get("path"), *times)
     trace = run_schedule(build_hex_lattice(desc, params), schedule, samples_per_window=samples)
     return trace, _trace_fields(trace)
 
@@ -363,10 +347,8 @@ def _run_route(cfg: dict, proto: dict, params: SystemParams, times, samples: int
 def _run_entangle(cfg: dict, proto: dict, params: SystemParams, times, samples: int):
     """entanglement transfer on a chain"""
     n = _chain_size(cfg)
-    compensate = proto.get("compensate", True)
-    if not isinstance(compensate, bool):
-        raise ConfigError(f"'compensate' must be a boolean, got {compensate!r}")
     spec, schedule = build_diamond_chain(n, params), chain_routing_schedule(n, *times)
+    compensate = proto.get("compensate", True)
     result = entanglement_transfer(spec, schedule, compensate, samples_per_window=samples)
     return result.trace, {
         "t_total": result.trace.total_time,

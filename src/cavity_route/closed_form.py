@@ -20,7 +20,7 @@ import numpy as np
 
 from .collective import block_coupling, extract_block
 from .evolution import eigendecompose, transition_amplitudes
-from .network import SystemParams
+from .network import SystemParams, _real
 
 __all__ = [
     "analytic_u4",
@@ -35,8 +35,8 @@ def _cell_row_amplitudes(params: SystemParams, kappa: float, cells: int, t) -> n
     Sector ``m`` couples the cavity mode at ``omega_c + shift_m`` to its atom
     combination at ``omega_c - delta``.  The component axis follows ``t``'s axes.
     """
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"block coupling must be finite and positive, got {kappa}")
+    if not _real(kappa, "block coupling") > 0.0:
+        raise ValueError(f"block coupling must be positive, got {kappa}")
     m = np.arange(1, cells + 1)
     phi = math.sqrt(2.0 / (cells + 1)) * np.sin(np.pi * np.outer(m, m) / (cells + 1))  # symmetric
     with np.errstate(over="ignore"):  # an overflow is refused just below

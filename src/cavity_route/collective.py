@@ -19,6 +19,7 @@ from .network import (
     NetworkSpec,
     Site,
     SystemParams,
+    _count,
     atom_index,
     build_single_excitation_hamiltonian,
     cavity_index,
@@ -145,8 +146,7 @@ def chain_collective_basis(n: int) -> OrthogonalTransform:
     6-dim relay block per unit boundary, then the receiver block
     ``(cn-, an-, c{n+1}, a{n+1})``.
     """
-    if n < 1:
-        raise ValueError(f"chain basis needs n >= 1, got {n}")
+    n = _count(n, "chain units n", 1)
     s = 1.0 / np.sqrt(2.0)
     # unit k: vertex site id 3k (label 3k+1), control pair ids 3k-2 and 3k-1 (labels 3k-1, 3k)
     vertex = [_modes(f"{{}}{k + 1}", {3 * k: 1.0}) for k in range(n + 1)]

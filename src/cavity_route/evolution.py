@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .collective import BlockHamiltonian
-from .network import ARRAY_BUDGET, atom_index, cavity_index
+from .network import ARRAY_BUDGET, _count, _real, atom_index, cavity_index
 
 __all__ = [
     "ExcitationState",
@@ -90,7 +90,7 @@ class ExcitationState:
         return float(abs(self.vac) ** 2 + np.vdot(self.amps, self.amps).real)
 
     def population(self, index: int) -> float:
-        return float(abs(self.amps[index]) ** 2)
+        return float(abs(self.amps[_count(index, "mode index", 0, self.dim - 1)]) ** 2)
 
     @classmethod
     def excitation(cls, dim: int, index: int) -> "ExcitationState":
@@ -102,8 +102,7 @@ class ExcitationState:
         cls, dim: int, index: int, excited_amp: complex, vac_amp: complex
     ) -> "ExcitationState":
         """Superposition ``vac_amp |vac> + excited_amp |mode index>``."""
-        if not 0 <= index < dim:
-            raise ValueError(f"mode index {index} outside 0..{dim - 1}")
+        index = _count(index, "mode index", 0, _count(dim, "dim", 1) - 1)
         amps = np.zeros(dim, dtype=complex)
         amps[index] = excited_amp
         return cls(amps=amps, vac=vac_amp)
@@ -163,7 +162,7 @@ def propagate(spectrum: Spectrum, state: ExcitationState, t: float) -> Excitatio
     """
     if state.dim != spectrum.dim:
         raise ValueError(f"state dim {state.dim} != spectrum dim {spectrum.dim}")
-    return ExcitationState(amps=_evolve(spectrum, state.amps, [t])[:, 0], vac=state.vac)
+    return ExcitationState(amps=_evolve(spectrum, state.amps, [_real(t, "t")])[:, 0], vac=state.vac)
 
 
 def _amp_on_grid(weights: np.ndarray, eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -193,11 +192,8 @@ def _amp_on_uniform_grid(
 
 def _transition_weights(spectrum: Spectrum, source: int, target: int) -> np.ndarray:
     """Spectral weights ``v[target, k] v[source, k]`` of ``<target| exp(-i H t) |source>``."""
-    for idx in (source, target):
-        if not 0 <= idx < spectrum.dim:
-            raise ValueError(f"basis index {idx} outside 0..{spectrum.dim - 1}")
-    v = spectrum.eigenvectors
-    return v[target, :] * v[source, :]
+    v, last = spectrum.eigenvectors, spectrum.dim - 1
+    return v[_count(source, "source", 0, last), :] * v[_count(target, "target", 0, last), :]
 
 
 def transition_amplitudes(
@@ -210,17 +206,15 @@ def transition_amplitudes(
 
 def photon_population(state: ExcitationState) -> float:
     """Total photon population: sum of ``|amps|^2`` over cavity rows."""
-    return float((np.abs(state.amps[0::2]) ** 2).sum())
+    return float((np.abs(state.amps[cavity_index(np.arange(state.dim // 2))]) ** 2).sum())
 
 
 def site_population(state: ExcitationState, site: int, kind: str) -> float:
     """Population of one site mode; ``kind`` is ``"cavity"`` or ``"atom"``."""
     if kind not in ("cavity", "atom"):
         raise ValueError(f"kind must be 'cavity' or 'atom', got {kind!r}")
-    index = (atom_index if kind == "atom" else cavity_index)(site)
-    if not 0 <= index < state.dim:
-        raise ValueError(f"site {site} outside the network")
-    return state.population(index)
+    site = _count(site, "site", 0, state.dim // 2 - 1)
+    return state.population((atom_index if kind == "atom" else cavity_index)(site))
 
 
 def _newton_peaks(
@@ -239,6 +233,14 @@ def _newton_peaks(
         shift = np.divide(slope, curvature, out=np.zeros_like(slope), where=curvature < 0)
         t = np.clip(t - shift, lo, hi)
     return t
+
+
+def _window(window) -> tuple[float, float]:
+    """``window`` as ``(lo, hi)`` floats with ``lo < hi``."""
+    t_lo, t_hi = (_real(bound, "window bound") for bound in window)
+    if not t_hi > t_lo:
+        raise ValueError(f"empty search window {window!r}")
+    return t_lo, t_hi
 
 
 def _envelope_period(weights: np.ndarray, eigenvalues: np.ndarray) -> float:
@@ -263,7 +265,7 @@ def find_transfer_time(
     source: int,
     target: int,
     window: tuple[float, float] = (0.0, 10.0),
-    grid_points: int = 20001,
+    grid_points: int | None = None,
 ) -> TransferResult:
     """Locate the transfer peak of ``F(t) = |<target| exp(-i H t) |source>|^2``.
 
@@ -282,12 +284,12 @@ def find_transfer_time(
         Basis indices of the prepared and the read-out mode.
     window : (float, float)
         Search interval; must be non-empty.
-    grid_points : int
-        Scan resolution, at most ``ARRAY_BUDGET``; the default resolves the
-        resonant default blocks.  Use ``auto_grid_points``: on a grid that
-        resolves the fastest Bohr oscillation, ``t_star`` is the stationary
-        point of the chosen peak of ``F``, not a grid point.  A coarser grid
-        may miss the peak, but the result is never below the best scanned point.
+    grid_points : int, optional
+        Scan resolution, at most ``ARRAY_BUDGET``; by default
+        ``auto_grid_points`` of the spectrum.  On a grid that resolves the
+        fastest Bohr oscillation, ``t_star`` is the stationary point of the
+        chosen peak of ``F``, not a grid point.  A coarser grid may miss the
+        peak, but the result is never below the best scanned point.
 
     Returns
     -------
@@ -295,12 +297,11 @@ def find_transfer_time(
         ``(t_star, fidelity, phase)`` with ``phase = arg <target|psi(t*)>``,
         which the entanglement protocol compensates downstream.
     """
-    t_lo, t_hi = float(window[0]), float(window[1])
-    if not (t_hi > t_lo):
-        raise ValueError(f"empty search window {window!r}")
-    if not 3 <= grid_points <= ARRAY_BUDGET:
-        raise ValueError(f"grid_points must be in [3, {ARRAY_BUDGET}], got {grid_points}")
+    t_lo, t_hi = _window(window)
     spectrum = _spectrum(h)
+    if grid_points is None:
+        grid_points = auto_grid_points(spectrum, window)
+    grid_points = _count(grid_points, "grid_points", 3, ARRAY_BUDGET)
     weights = _transition_weights(spectrum, source, target)
     ts, step = np.linspace(t_lo, t_hi, grid_points, retstep=True)
     amp = _amp_on_uniform_grid(weights, spectrum.eigenvalues, t_lo, step, grid_points)
@@ -331,18 +332,15 @@ def auto_grid_points(
     """Grid size resolving the fastest Bohr oscillation over ``window``.
 
     Returns at least ``_GRID_FLOOR`` points, and enough for
-    ``_GRID_PER_PERIOD`` samples per period of the largest eigenvalue gap.
-    The default grid of ``find_transfer_time`` badly undersamples wide
-    windows in the strongly detuned regime; feed it this instead.  ``h`` may
-    be a ``Spectrum``, so one decomposition serves both calls.  A grid above
+    ``_GRID_PER_PERIOD`` samples per period of the largest eigenvalue gap;
+    ``find_transfer_time`` scans this grid by default.  ``h`` may be a
+    ``Spectrum``, so one decomposition serves both calls.  A grid above
     ``ARRAY_BUDGET`` points raises ``ValueError``.
     """
-    span = float(window[1]) - float(window[0])
-    if span <= 0:
-        raise ValueError(f"empty search window {window!r}")
+    t_lo, t_hi = _window(window)
     eigenvalues = _spectrum(h).eigenvalues
     spread = float(eigenvalues[-1] - eigenvalues[0])
-    needed = span * spread * _GRID_PER_PERIOD / (2.0 * np.pi)
+    needed = (t_hi - t_lo) * spread * _GRID_PER_PERIOD / (2.0 * np.pi)
     # compared as a float: a huge window or spread would overflow the int cast
     if not needed < ARRAY_BUDGET:
         raise ValueError(f"a grid of {needed:.3g} points exceeds the budget of {ARRAY_BUDGET}")

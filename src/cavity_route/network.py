@@ -26,6 +26,7 @@ ids are 0-based.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -67,16 +68,30 @@ SITE_ROLES = ("vertex", "control", "port", "upload", "plain")
 #: samples``).  2**24 float64 are 128 MB; the dispersive scan (~772k) is < 5%.
 ARRAY_BUDGET = 2**24
 
-
-def _is_index(value) -> bool:
-    """An int that is not a bool: ids, signs and ports are never coerced."""
-    return isinstance(value, int) and not isinstance(value, bool)
+#: Types that ``_count`` and ``_real`` accept; bool, an int subclass, is refused by identity.
+_INTEGERS, _NUMBERS = (int, np.integer), (int, float, np.integer, np.floating)
 
 
-def _is_real(value) -> bool:
-    """A finite int or float that is not a bool; the bound refuses nan, inf and huge ints."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and abs(value) <= sys.float_info.max
+def _real(value, label: str) -> float:
+    """``value`` as a float: a finite Python or numpy number, never a bool.
+
+    The bound refuses nan, inf and ints beyond the float range.
+    """
+    number = isinstance(value, _NUMBERS) and value is not True and value is not False
+    if not (number and -sys.float_info.max <= value <= sys.float_info.max):
+        raise ValueError(f"{label} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _count(value, label: str, low: int, high: float = math.inf) -> int:
+    """``value`` as an int in ``[low, high]``: a Python or numpy integer, never a bool or float.
+
+    Ids, signs, ports and sizes are never coerced; numpy would read a bool index as a mask.
+    """
+    integer = isinstance(value, _INTEGERS) and value is not True and value is not False
+    if not (integer and low <= value <= high):
+        raise ValueError(f"{label} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
 
 
 def _listed(value, what: str, item=object) -> tuple:
@@ -120,10 +135,9 @@ class SystemParams:
     j: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("omega_c", "delta", "g", "j", "omega_a"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise ValueError(f"parameter {name!r} must be a finite number, got {value!r}")
+        for name in ("omega_c", "delta", "g", "j"):
+            object.__setattr__(self, name, _real(getattr(self, name), f"parameter {name!r}"))
+        _real(self.omega_a, "parameter 'omega_a'")
         if self.g <= 0:
             raise ValueError(f"coupling g must be positive, got {self.g}")
         if self.j <= 0:
@@ -167,8 +181,7 @@ class Site:
     role: str = "plain"
 
     def __post_init__(self) -> None:
-        if not (_is_index(self.id) and self.id >= 0):
-            raise ValueError(f"site id must be an integer >= 0, got {self.id!r}")
+        object.__setattr__(self, "id", _count(self.id, "site id", 0))
         if not isinstance(self.label, str):
             raise ValueError(f"site label must be a string, got {self.label!r}")
         if self.role not in SITE_ROLES:
@@ -190,8 +203,6 @@ class NetworkSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(self.sites))
-        edges = _listed(self.edges, "edges", (list, tuple))
-        object.__setattr__(self, "edges", tuple(map(tuple, edges)))
         if not self.sites:
             raise ValueError("a network needs at least one site")
         for pos, site in enumerate(self.sites):
@@ -199,24 +210,24 @@ class NetworkSpec:
                 raise ValueError(
                     f"site ids must be consecutive from 0; position {pos} has id {site.id}"
                 )
-        m = len(self.sites)
+        last, edges = len(self.sites) - 1, []
         seen: set[tuple[int, int]] = set()
-        for edge in self.edges:
+        for edge in _listed(self.edges, "edges", (list, tuple)):
             if len(edge) != 3:
                 raise ValueError(f"edge must be (k, l, sign), got {edge!r}")
             k, l, sign = edge
-            if not all(map(_is_index, edge)):
-                raise ValueError(f"edge {edge!r} must hold integers")
-            if not (0 <= k < m and 0 <= l < m):
-                raise ValueError(f"edge {edge!r} references a site outside 0..{m - 1}")
+            k, l = _count(k, "edge site", 0, last), _count(l, "edge site", 0, last)
+            sign = _count(sign, "edge sign", -1, 1)
             if k == l:
                 raise ValueError(f"edge {edge!r} is a self-loop")
-            if sign not in (1, -1):
+            if sign == 0:
                 raise ValueError(f"edge sign must be +1 or -1, got {sign!r}")
             pair = (min(k, l), max(k, l))
             if pair in seen:
                 raise ValueError(f"duplicate edge for site pair {pair}")
             seen.add(pair)
+            edges.append((k, l, sign))
+        object.__setattr__(self, "edges", tuple(edges))
 
     @property
     def num_sites(self) -> int:
@@ -286,8 +297,7 @@ def build_diamond_chain(n: int, params: SystemParams | None = None) -> NetworkSp
     -------
     NetworkSpec
     """
-    if n < 1:
-        raise ValueError(f"a diamond chain needs n >= 1 units, got {n}")
+    n = _count(n, "chain units n", 1)
     params = params or SystemParams()
     num_sites = 3 * n + 1
     vertex_labels = {3 * k + 1 for k in range(n + 1)}  # 1, 4, 7, ..., 3n+1
@@ -364,14 +374,13 @@ class HexLatticeDescriptor:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", _listed(self.vertices, "vertices", str))
-        links = _listed(self.links, "links", (list, tuple))
-        object.__setattr__(self, "links", tuple(map(tuple, links)))
         object.__setattr__(self, "uploads", _listed(self.uploads, "uploads", str))
         if len(set(self.vertices)) != len(self.vertices) or not self.vertices:
             raise ValueError("vertices must be a non-empty list of unique names")
         known = set(self.vertices)
+        links: list[tuple[str, int, str, int]] = []
         used: set[tuple[str, int]] = set()
-        for link in self.links:
+        for link in _listed(self.links, "links", (list, tuple)):
             if len(link) != 4:
                 raise ValueError(f"link must be (a, port_a, b, port_b), got {link!r}")
             a, pa, b, pb = link
@@ -380,12 +389,13 @@ class HexLatticeDescriptor:
                 raise ValueError(f"link {link!r} references an unknown vertex")
             if a == b:
                 raise ValueError(f"link {link!r} joins a vertex to itself")
-            if not (_is_index(pa) and _is_index(pb) and pa in (1, 2, 3) and pb in (1, 2, 3)):
-                raise ValueError(f"link ports must be in 1..3, got {link!r}")
+            pa, pb = _count(pa, "link port", 1, 3), _count(pb, "link port", 1, 3)
             for end in ((a, pa), (b, pb)):
                 if end in used:
                     raise ValueError(f"port {end} is occupied by more than one link")
                 used.add(end)
+            links.append((a, pa, b, pb))
+        object.__setattr__(self, "links", tuple(links))
         if len(set(self.uploads)) != len(self.uploads):
             raise ValueError("duplicate upload vertices")
         for v in self.uploads:

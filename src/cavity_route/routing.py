@@ -26,8 +26,9 @@ from .network import (
     HADAMARD_SIGNS,
     HexLatticeDescriptor,
     NetworkSpec,
-    _is_index,
-    _is_real,
+    _count,
+    _listed,
+    _real,
     atom_index,
     build_single_excitation_hamiltonian,
     cavity_index,
@@ -54,17 +55,13 @@ __all__ = [
 ]
 
 
-def _check_site(site, what: str) -> None:
-    if not (_is_index(site) and site >= 0):
-        raise ValueError(f"{what} must be an integer >= 0, got {site!r}")
-
-
 @dataclass(frozen=True)
 class Evolve:
     duration: float
 
     def __post_init__(self) -> None:
-        if not self.duration >= 0.0:
+        object.__setattr__(self, "duration", _real(self.duration, "evolution window"))
+        if self.duration < 0.0:
             raise ValueError(f"evolution window must be >= 0, got {self.duration}")
 
 
@@ -76,9 +73,8 @@ class PhaseFlip:
     factor: ClassVar[int] = -1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atom_sites", tuple(self.atom_sites))
-        for site in self.atom_sites:
-            _check_site(site, "phase flip site")
+        sites = _listed(self.atom_sites, "atom_sites")
+        object.__setattr__(self, "atom_sites", tuple(_count(s, "atom site", 0) for s in sites))
         if len(set(self.atom_sites)) != len(self.atom_sites):
             raise ValueError("duplicate site in phase flip")
         if not self.atom_sites:
@@ -94,9 +90,8 @@ class PhaseShift:
     angle: float
 
     def __post_init__(self) -> None:
-        _check_site(self.site, "phase shift site")
-        if not _is_real(self.angle):
-            raise ValueError(f"phase shift angle must be a finite number, got {self.angle!r}")
+        object.__setattr__(self, "site", _count(self.site, "phase shift site", 0))
+        object.__setattr__(self, "angle", _real(self.angle, "phase shift angle"))
 
     @property
     def atom_sites(self) -> tuple[int]:
@@ -123,11 +118,12 @@ class Schedule:
     target: tuple[int, str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        for name, (site, kind) in (("source", self.source), ("target", self.target)):
+        object.__setattr__(self, "steps", _listed(self.steps, "steps", Step))
+        for name in ("source", "target"):
+            site, kind = getattr(self, name)
             if kind not in ("atom", "cavity"):
                 raise ValueError(f"{name} kind must be 'atom' or 'cavity', got {kind!r}")
-            _check_site(site, f"{name} site")
+            object.__setattr__(self, name, (_count(site, f"{name} site", 0), kind))
 
     def total_evolve_time(self) -> float:
         """Exact (order-independent) sum of all evolution windows."""
@@ -140,11 +136,8 @@ class Schedule:
 def _scale_atoms(state: ExcitationState, atom_sites, factor: complex) -> ExcitationState:
     """Multiply the atom amplitude at each listed site by ``factor``."""
     amps = state.amps.copy()
-    for site in atom_sites:
-        index = atom_index(site)
-        if not 0 <= index < state.dim:
-            raise ValueError(f"site {site} outside the network")
-        amps[index] *= factor
+    for site in _listed(atom_sites, "atom_sites"):
+        amps[atom_index(_count(site, "atom site", 0, state.dim // 2 - 1))] *= factor
     return ExcitationState(amps=amps, vac=state.vac)
 
 
@@ -162,9 +155,8 @@ def chain_routing_schedule(n: int, t1: float, t2: float) -> Schedule:
     control site of every unit (1-based site labels ``3k``); total evolve
     time is ``2 t1 + (n - 1) t2`` with ``n`` flips.
     """
-    if n < 1:
-        raise ValueError(f"chain schedule needs n >= 1, got {n}")
-    if not (t1 > 0 and t2 > 0):
+    n = _count(n, "chain units n", 1)
+    if not (_real(t1, "t1") > 0 and _real(t2, "t2") > 0):
         raise ValueError("transfer times must be positive")
     flip = PhaseFlip(atom_sites=tuple(3 * k - 1 for k in range(1, n + 1)))
     steps: list[Step] = [Evolve(t1)]
@@ -178,11 +170,9 @@ def chain_routing_schedule(n: int, t1: float, t2: float) -> Schedule:
 
 def _port_flip_sites(inner_sites, port_from: int, port_to: int) -> tuple[int, ...]:
     # the two inner atoms whose Hadamard signs differ between the ports
+    port_from, port_to = (_count(port, "port", 0, 3) for port in (port_from, port_to))
     if port_from == port_to:
         raise ValueError("port flip needs two distinct ports")
-    for port in (port_from, port_to):
-        if port not in (0, 1, 2, 3):
-            raise ValueError(f"port must be in 0..3, got {port}")
     return tuple(
         inner_sites[k]
         for k in range(4)
@@ -203,9 +193,8 @@ def switch_port_flip(port_from: int, port_to: int) -> PhaseFlip:
 
 def switch_schedule(port: int, t: float) -> Schedule:
     """Upload at ``nu0``, steer, deliver at ``nu<port>`` (port 1, 2, or 3)."""
-    if port not in (1, 2, 3):
-        raise ValueError(f"delivery port must be 1, 2, or 3, got {port}")
-    if not t > 0:
+    port = _count(port, "delivery port", 1, 3)
+    if not _real(t, "t") > 0:
         raise ValueError("transfer time must be positive")
     return Schedule(
         steps=(Evolve(t), switch_port_flip(0, port), Evolve(t)),
@@ -228,10 +217,10 @@ def hex_routing_schedule(
     parks the excitation in the last vertex's upload site: ``len(path) - 1``
     hops and ``len(path)`` flips in total.
     """
-    path = list(path)
+    path = _listed(path, "path", str)
     if len(path) < 2:
         raise ValueError("a route needs at least two vertices (zero-hop paths are invalid)")
-    if not (t_upload > 0 and t_hop > 0):
+    if not (_real(t_upload, "t_upload") > 0 and _real(t_hop, "t_hop") > 0):
         raise ValueError("transfer times must be positive")
     layout = hex_lattice_layout(desc)
     for v in (path[0], path[-1]):
@@ -292,8 +281,7 @@ class TraceResult:
 
 
 def _mode_index(spec: NetworkSpec, site: int, kind: str) -> int:
-    if not 0 <= site < spec.num_sites:
-        raise ValueError(f"site {site} outside 0..{spec.num_sites - 1}")
+    site = _count(site, "site", 0, spec.num_sites - 1)
     return (atom_index if kind == "atom" else cavity_index)(site)
 
 
@@ -315,8 +303,7 @@ def run_schedule(
     A non-finite norm, or one that drifts from the initial norm by more than
     ``NORM_TOLERANCE``, raises ``FloatingPointError``.
     """
-    if samples_per_window < 2:
-        raise ValueError(f"samples_per_window must be >= 2, got {samples_per_window}")
+    samples_per_window = _count(samples_per_window, "samples_per_window", 2)
     if samples_per_window * spec.dim > ARRAY_BUDGET:
         raise ValueError(f"{samples_per_window} samples x {spec.dim} modes exceed {ARRAY_BUDGET}")
     src = _mode_index(spec, *schedule.source)
@@ -333,11 +320,12 @@ def run_schedule(
         track = [(f"atom[{spec.sites[schedule.source[0]].label}]", src)]
         if tgt != src:
             track.append((f"atom[{spec.sites[schedule.target[0]].label}]", tgt))
-    labels = tuple(label for label, _ in track)
-    mode_rows = np.array([index for _, index in track], dtype=int)
+    labels = _listed([label for label, _ in track], "track labels", str)
+    mode_rows = [_count(row, f"track row of {label!r}", 0, spec.dim - 1) for label, row in track]
 
     h = build_single_excitation_hamiltonian(spec)
     spectrum = eigendecompose(h)
+    cavity_rows = cavity_index(np.arange(spec.num_sites))
 
     times: list[np.ndarray] = []
     photon: list[np.ndarray] = []
@@ -356,7 +344,7 @@ def run_schedule(
         pops = np.abs(evolved) ** 2
         keep = slice(None) if first_window else slice(1, None)
         times.append(t_offset + taus[keep])
-        photon.append(pops[0::2, keep].sum(axis=0))
+        photon.append(pops[cavity_rows, keep].sum(axis=0))
         tracked.append(pops[mode_rows][:, keep].T)
         norms.append(np.sqrt(pops[:, keep].sum(axis=0) + abs(state.vac) ** 2))
         drift = float(np.abs(norms[-1] - norm0).max())
@@ -415,6 +403,8 @@ def entanglement_transfer(
     ``|(1 + u)|^2 / 4``; compensating the transfer phase with a local
     ``PhaseShift`` on the target atom turns this into ``((1 + |u|) / 2)^2``.
     """
+    if not isinstance(compensate, bool):
+        raise ValueError(f"compensate must be a bool, got {compensate!r}")
     src = _mode_index(spec, *schedule.source)
     s = 1.0 / np.sqrt(2.0)
     initial = ExcitationState.with_vacuum(spec.dim, src, s, s)

@@ -73,6 +73,24 @@ class TestBlocks:
         assert text.count("# block") == 2
         assert "dim=4" in text
 
+    def test_strict_fails_on_a_broken_sign(self, tmp_path, capsys, monkeypatch):
+        from cavity_route import cli, network
+
+        def broken_chain(n, params):
+            # unit 1's -j edge (ids 2 -> 3) flipped to +j; the residual is sqrt(2) j
+            spec = network.build_diamond_chain(n, params)
+            edges = [(k, l, 1) if (k, l) == (2, 3) else (k, l, s) for k, l, s in spec.edges]
+            return network.NetworkSpec(spec.sites, edges, spec.params)
+
+        monkeypatch.setattr(cli, "build_diamond_chain", broken_chain)
+        cfg = write_config(
+            tmp_path, "c.json", {"topology": "diamond_chain", "n": 3, "params": PARAMS}
+        )
+        code, out, err = run_main(capsys, ["blocks", "--config", cfg, "--strict"])
+        assert code == 1
+        assert out == "blocks: 4,6,6,4 residual: 1.414e+00\n"
+        assert err == "strict: residual 1.414e+00 above 1e-12\n"
+
     def test_custom_topology_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"topology": "custom", "params": PARAMS})
         code, _, err = run_main(capsys, ["blocks", "--config", cfg])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,17 @@ class TestResiduals:
     def test_chain_residual(self, n, params):
         _, residual = _decompose(build_diamond_chain(n, params), chain_collective_basis(n))
         assert residual <= 1e-12
+
+    def test_broken_sign_shows_in_the_residual(self):
+        # unit 1's one -j edge (control 3 to vertex 4, ids 2 -> 3) flipped to +j: the
+        # antisymmetric control pair now couples to vertex 4 with sqrt(2) j
+        spec = build_diamond_chain(3, RESONANT)
+        edges = tuple((k, l, 1) if (k, l) == (2, 3) else (k, l, s) for k, l, s in spec.edges)
+        assert edges != spec.edges
+        broken = dataclasses.replace(spec, edges=edges)
+        _, residual = _decompose(broken, chain_collective_basis(3))
+        assert round(residual, 11) == 1.41421356237
+        assert residual == pytest.approx(np.sqrt(2.0) * RESONANT.j, rel=1e-12)
 
     def test_decompose_rejects_dim_mismatch(self):
         h = build_single_excitation_hamiltonian(build_diamond_chain(2))
