@@ -60,6 +60,7 @@ from .collective import (
     switch_collective_basis,
 )
 from .evolution import (
+    _window,
     auto_grid_points,
     eigendecompose,
     find_transfer_time,
@@ -71,7 +72,6 @@ from .network import (
     NetworkSpec,
     SystemParams,
     _count,
-    _real,
     atom_index,
     build_diamond_chain,
     build_hex_lattice,
@@ -133,36 +133,22 @@ def _config_params(cfg: dict) -> SystemParams:
         raise ConfigError(f"bad params: {exc}") from exc
 
 
-def _tmax(args) -> float:
-    tmax = _real(args.tmax, "--tmax")
-    if not tmax > 0:
-        raise ConfigError(f"--tmax must be positive, got {tmax}")
-    return tmax
-
-
 def _search_window(args, cfg: dict, params: SystemParams) -> tuple[float, float]:
-    if args.tmax is not None:
-        return (0.0, _tmax(args))
-    window = _lookup(None, cfg, "window")
+    window = (0.0, args.tmax) if args.tmax is not None else _lookup(None, cfg, "window")
     if window is None:
         # dispersive transfers are slower by a factor ~|delta|/g
-        return (0.0, 10.0) if abs(params.delta) <= params.g else (0.0, 600.0)
-    if not (isinstance(window, list) and len(window) == 2):
-        raise ConfigError("'window' must be a [lo, hi] pair")
-    lo, hi = (_real(bound, "'window' bound") for bound in window)
-    if not hi > lo:
-        raise ConfigError(f"empty search window {window}")
-    return (lo, hi)
+        window = (0.0, 10.0) if abs(params.delta) <= params.g else (0.0, 600.0)
+    return _window(window)
 
 
 def _find_peak(h, source: int, target: int, args, cfg: dict, params: SystemParams):
     """Transfer peak over the configured window, on the configured or auto grid."""
-    window = _search_window(args, cfg, params)
+    window = _search_window(args, cfg, params)  # checked before h is decomposed, as a given grid
     grid = _lookup(args.grid, cfg, "grid")
-    grid = None if grid is None else _count(grid, "grid", 3, ARRAY_BUDGET)
-    spectrum = eigendecompose(h)  # one decomposition sizes the grid and runs the search
-    grid = auto_grid_points(spectrum, window) if grid is None else grid
-    return find_transfer_time(spectrum, source, target, window=window, grid_points=grid)
+    if grid is None:  # one decomposition sizes the grid and runs the search
+        h = eigendecompose(h)
+        grid = auto_grid_points(h, window)
+    return find_transfer_time(h, source, target, window=window, grid_points=grid)
 
 
 def _output(args, cfg: dict) -> tuple[int, str | None]:
@@ -299,7 +285,7 @@ def _cmd_validate_analytic(args) -> int:
     lines, errors = [], []
     for which in names:
         for regime, delta, tmax in regimes:
-            times = np.linspace(0.0, _tmax(args) if args.tmax is not None else tmax, samples)
+            times = np.linspace(*_window((0.0, tmax if args.tmax is None else args.tmax)), samples)
             errors.append(validate_analytic(replace(params, delta=delta), which, times))
             lines.append(f"block={which} regime={regime} max_error={errors[-1]:.6e}")
     _check_finite(max_error=errors)
@@ -327,10 +313,10 @@ def _run_chain(cfg: dict, proto: dict, params: SystemParams, times, samples: int
 
 def _run_switch(cfg: dict, proto: dict, params: SystemParams, times, samples: int):
     """steer through the four-port switch"""
-    port = _count(proto.get("port"), "switch 'port'", 1, 3)
+    schedule = switch_schedule(proto.get("port"), *times)
+    port = schedule.target[0]
     spec = build_switch(params)
     track = [(f"atom[{spec.sites[k].label}]", atom_index(k)) for k in range(4)]
-    schedule = switch_schedule(port, *times)
     trace = run_schedule(spec, schedule, samples_per_window=samples, track=track)
     leakage = sum(site_population(trace.final_state, k, "atom") for k in (1, 2, 3) if k != port)
     return trace, _trace_fields(trace, leakage=leakage)
@@ -398,7 +384,7 @@ def _protocol_times(args, cfg: dict, params: SystemParams, protocol: _Protocol):
     if not (isinstance(times, list) and len(times) == len(protocol.times)):
         shape = ", ".join(protocol.times)
         raise ConfigError(f"'times' must be \"auto\" or [{shape}], got {times!r}")
-    return tuple(_real(t, name) for name, t in zip(protocol.times, times)), None
+    return tuple(times), None
 
 
 def _cmd_protocol(args) -> int:

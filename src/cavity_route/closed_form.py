@@ -2,7 +2,8 @@
 
 A block is a row of ``cells`` identical atom-cavity cells (2 for
 ``end``/``upload``, 3 for ``mid``/``hop``) whose neighbouring cavities hop
-with ``kappa``.  The row's standing waves ``phi[c, m] = sqrt(2 / (cells + 1))
+with ``kappa`` (``sqrt(2) j`` in chain blocks, ``2 j`` in switch and lattice
+blocks).  The row's standing waves ``phi[c, m] = sqrt(2 / (cells + 1))
 sin(pi m (c + 1) / (cells + 1))`` shift the cavity energy by ``2 kappa
 cos(pi m / (cells + 1))``, ``m = 1..cells``.  Taking cavities and atoms alike
 into these modes splits the block into detuned Rabi sectors, one per mode,
@@ -18,25 +19,25 @@ import math
 
 import numpy as np
 
-from .collective import block_coupling, extract_block
+from .collective import _block_kind, extract_block
 from .evolution import eigendecompose, transition_amplitudes
-from .network import SystemParams, _real
+from .network import SystemParams
 
 __all__ = [
-    "analytic_u4",
-    "analytic_u6",
+    "analytic_amplitudes",
     "validate_analytic",
 ]
 
 
-def _cell_row_amplitudes(params: SystemParams, kappa: float, cells: int, t) -> np.ndarray:
-    """Amplitudes ``(cav0, atom0, cav1, ...)`` of a row of ``cells`` cells from ``atom0``.
+def analytic_amplitudes(params: SystemParams, which: str, t) -> np.ndarray:
+    """Amplitudes ``(cav0, atom0, cav1, ...)`` of block ``which`` from a unit ``atom0`` excitation.
 
-    Sector ``m`` couples the cavity mode at ``omega_c + shift_m`` to its atom
-    combination at ``omega_c - delta``.  The component axis follows ``t``'s axes.
+    ``which`` is a block name of ``extract_block``; the transfer target is the
+    last atom.  Sector ``m`` couples the cavity mode at ``omega_c + shift_m``
+    to its atom combination at ``omega_c - delta``.  Accepts a scalar or an
+    array of times; the component axis is last.
     """
-    if not _real(kappa, "block coupling") > 0.0:
-        raise ValueError(f"block coupling must be positive, got {kappa}")
+    cells, kappa = _block_kind(params, which)
     m = np.arange(1, cells + 1)
     phi = math.sqrt(2.0 / (cells + 1)) * np.sin(np.pi * np.outer(m, m) / (cells + 1))  # symmetric
     with np.errstate(over="ignore"):  # an overflow is refused just below
@@ -55,26 +56,6 @@ def _cell_row_amplitudes(params: SystemParams, kappa: float, cells: int, t) -> n
     return np.stack([leak @ weights, survive @ weights], axis=-1).reshape(*times.shape, 2 * cells)
 
 
-def analytic_u4(params: SystemParams, kappa: float, t) -> np.ndarray:
-    """Pair-block amplitudes ``(cav0, atom0, cav1, atom1)`` from a unit ``atom0`` excitation.
-
-    ``kappa`` is the cavity-cavity coupling of the block (``sqrt(2) j`` for
-    chain blocks, ``2 j`` for switch/lattice port blocks); the transfer target
-    is ``atom1``.  Accepts a scalar or an array of times; the component axis
-    is last.
-    """
-    return _cell_row_amplitudes(params, kappa, 2, t)
-
-
-def analytic_u6(params: SystemParams, kappa: float, t) -> np.ndarray:
-    """Trio-block amplitudes ``(cav0, atom0, ..., cav2, atom2)`` from a unit ``atom0`` excitation.
-
-    ``kappa`` is the adjacent cavity-cavity coupling of the 6x6 block; the
-    transfer target is ``atom2``.
-    """
-    return _cell_row_amplitudes(params, kappa, 3, t)
-
-
 def validate_analytic(params: SystemParams, which: str, times) -> float:
     """Max deviation between closed-form and numeric block amplitudes.
 
@@ -85,7 +66,7 @@ def validate_analytic(params: SystemParams, which: str, times) -> float:
     """
     block = extract_block(params, which)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    analytic = _cell_row_amplitudes(params, block_coupling(params, which), block.dim // 2, times)
+    analytic = analytic_amplitudes(params, which, times)
     spectrum = eigendecompose(block)
     numeric = np.stack(
         [transition_amplitudes(spectrum, 1, component, times) for component in range(block.dim)],

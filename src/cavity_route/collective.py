@@ -14,6 +14,7 @@ from itertools import accumulate
 import numpy as np
 
 from .network import (
+    ARRAY_BUDGET,
     HADAMARD_SIGNS,
     HexLatticeDescriptor,
     NetworkSpec,
@@ -34,7 +35,6 @@ __all__ = [
     "lattice_collective_basis",
     "block_decompose",
     "extract_block",
-    "block_coupling",
 ]
 
 
@@ -125,6 +125,8 @@ def _transform(dim: int, groups: list[tuple[str, Modes]]) -> OrthogonalTransform
 
     Rows are numbered in group order, then mode order inside each group.
     """
+    if dim * dim > ARRAY_BUDGET:
+        raise ValueError(f"a {dim}-mode transform exceeds the budget of {ARRAY_BUDGET} elements")
     modes = [mode for _, members in groups for mode in members]
     rows = [row for row, (_, coefs) in enumerate(modes) for _ in coefs]
     cols = [col for _, coefs in modes for col in coefs]
@@ -258,10 +260,14 @@ _BLOCKS = {
 }
 
 
-def _block_kind(which: str):
+def _block_kind(params: SystemParams, which: str) -> tuple[int, float]:
+    """Cells in the row of the block named ``which`` and its cavity-cavity coupling."""
+    if not isinstance(params, SystemParams):
+        raise ValueError("params must be a SystemParams")
     if not (isinstance(which, str) and which in _BLOCKS):
         raise ValueError(f"unknown block name {which!r}; known: {', '.join(_BLOCKS)}")
-    return _BLOCKS[which]
+    cells, scale = _BLOCKS[which]
+    return cells, scale * params.j
 
 
 def extract_block(params: SystemParams, which: str) -> BlockHamiltonian:
@@ -277,14 +283,8 @@ def extract_block(params: SystemParams, which: str) -> BlockHamiltonian:
     ``block_decompose`` to rounding accuracy; blocks built here are handy for
     transfer-time searches without assembling a whole network.
     """
-    if not isinstance(params, SystemParams):
-        raise ValueError("params must be a SystemParams")
-    cells, scale = _block_kind(which)
-    matrix = _cell_row(params, scale * params.j, cells)
+    cells, kappa = _block_kind(params, which)
+    matrix = _cell_row(params, kappa, cells)
     labels = tuple(f"{tag}{cell}" for cell in range(cells) for tag in ("cav", "atom"))
     return BlockHamiltonian(matrix=matrix, labels=labels, name=which)
 
-
-def block_coupling(params: SystemParams, which: str) -> float:
-    """Cavity-cavity coupling inside the block named by ``which``."""
-    return _block_kind(which)[1] * params.j

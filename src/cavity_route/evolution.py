@@ -74,8 +74,8 @@ class ExcitationState:
 
     def __post_init__(self) -> None:
         amps = np.array(self.amps, dtype=complex, copy=True)
-        if amps.ndim != 1:
-            raise ValueError("amplitudes must be a 1-d vector")
+        if amps.ndim != 1 or amps.shape[0] % 2:  # each site has a cavity row and an atom row
+            raise ValueError(f"amplitudes must be a 1-d vector of even length, not {amps.shape}")
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "vac", complex(self.vac))
         if abs(self.norm_sq - 1.0) > 1e-6:
@@ -236,8 +236,11 @@ def _newton_peaks(
 
 
 def _window(window) -> tuple[float, float]:
-    """``window`` as ``(lo, hi)`` floats with ``lo < hi``."""
-    t_lo, t_hi = (_real(bound, "window bound") for bound in window)
+    """``window``, a list, tuple or array of two finite numbers, as floats ``lo < hi``."""
+    bounds = window.tolist() if isinstance(window, np.ndarray) else window
+    if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
+        raise ValueError(f"search window must be a (lo, hi) pair, got {window!r}")
+    t_lo, t_hi = (_real(bound, "window bound") for bound in bounds)
     if not t_hi > t_lo:
         raise ValueError(f"empty search window {window!r}")
     return t_lo, t_hi
@@ -283,7 +286,8 @@ def find_transfer_time(
     source, target : int
         Basis indices of the prepared and the read-out mode.
     window : (float, float)
-        Search interval; must be non-empty.
+        Search interval ``(lo, hi)``: a list, tuple or array of two finite
+        numbers with ``lo < hi``.
     grid_points : int, optional
         Scan resolution, at most ``ARRAY_BUDGET``; by default
         ``auto_grid_points`` of the spectrum.  On a grid that resolves the
@@ -298,10 +302,10 @@ def find_transfer_time(
         which the entanglement protocol compensates downstream.
     """
     t_lo, t_hi = _window(window)
+    if grid_points is not None:  # a given grid is refused before any eigendecomposition
+        grid_points = _count(grid_points, "grid_points", 3, ARRAY_BUDGET)
     spectrum = _spectrum(h)
-    if grid_points is None:
-        grid_points = auto_grid_points(spectrum, window)
-    grid_points = _count(grid_points, "grid_points", 3, ARRAY_BUDGET)
+    grid_points = grid_points or auto_grid_points(spectrum, window)
     weights = _transition_weights(spectrum, source, target)
     ts, step = np.linspace(t_lo, t_hi, grid_points, retstep=True)
     amp = _amp_on_uniform_grid(weights, spectrum.eigenvalues, t_lo, step, grid_points)
@@ -342,6 +346,6 @@ def auto_grid_points(
     spread = float(eigenvalues[-1] - eigenvalues[0])
     needed = (t_hi - t_lo) * spread * _GRID_PER_PERIOD / (2.0 * np.pi)
     # compared as a float: a huge window or spread would overflow the int cast
-    if not needed < ARRAY_BUDGET:
+    if not needed + 1 < ARRAY_BUDGET:
         raise ValueError(f"a grid of {needed:.3g} points exceeds the budget of {ARRAY_BUDGET}")
     return max(_GRID_FLOOR, int(np.ceil(needed)) + 1)

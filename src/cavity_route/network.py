@@ -101,6 +101,17 @@ def _listed(value, what: str, item=object) -> tuple:
     return tuple(value)
 
 
+def _label(value, what: str) -> str:
+    """``value`` if it can name a CSV column and a ``|``-joined basis entry.
+
+    That is a string without ``,``, ``|`` or a line break (any that ``str.splitlines`` knows).
+    """
+    plain = isinstance(value, str) and "".join(value.splitlines()) == value
+    if not (plain and "," not in value and "|" not in value):
+        raise ValueError(f"{what} must be text without ',', '|' or a line break, got {value!r}")
+    return value
+
+
 def cavity_index(site: int) -> int:
     """Row of the cavity mode of ``site`` in the single-excitation layout."""
     return 2 * site
@@ -182,8 +193,7 @@ class Site:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "id", _count(self.id, "site id", 0))
-        if not isinstance(self.label, str):
-            raise ValueError(f"site label must be a string, got {self.label!r}")
+        _label(self.label, "site label")
         if self.role not in SITE_ROLES:
             raise ValueError(f"unknown site role {self.role!r}")
 

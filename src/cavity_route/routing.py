@@ -27,6 +27,7 @@ from .network import (
     HexLatticeDescriptor,
     NetworkSpec,
     _count,
+    _label,
     _listed,
     _real,
     atom_index,
@@ -111,6 +112,7 @@ class Schedule:
 
     ``source``/``target`` are ``(site, kind)`` pairs with kind ``"atom"`` or
     ``"cavity"``; the trace records the final amplitude on the target mode.
+    At least one step must be an ``Evolve``.
     """
 
     steps: tuple[Step, ...]
@@ -119,6 +121,8 @@ class Schedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", _listed(self.steps, "steps", Step))
+        if not any(isinstance(step, Evolve) for step in self.steps):
+            raise ValueError("schedule contains no evolution window")
         for name in ("source", "target"):
             site, kind = getattr(self, name)
             if kind not in ("atom", "cavity"):
@@ -320,7 +324,7 @@ def run_schedule(
         track = [(f"atom[{spec.sites[schedule.source[0]].label}]", src)]
         if tgt != src:
             track.append((f"atom[{spec.sites[schedule.target[0]].label}]", tgt))
-    labels = _listed([label for label, _ in track], "track labels", str)
+    labels = tuple(_label(label, "track labels") for label, _ in track)
     mode_rows = [_count(row, f"track row of {label!r}", 0, spec.dim - 1) for label, row in track]
 
     h = build_single_excitation_hamiltonian(spec)
@@ -354,8 +358,6 @@ def run_schedule(
         state = ExcitationState(amps=evolved[:, -1], vac=state.vac)
         t_offset += step.duration
         first_window = False
-    if first_window:
-        raise ValueError("schedule contains no evolution window")
 
     final_amplitude = complex(state.amps[tgt])
     return TraceResult(

@@ -11,3 +11,10 @@ already named in the environment is kept.
 import os
 
 os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
+
+
+def pytest_report_header(config):
+    # a golden mismatch on another machine starts with these two facts
+    import numpy
+
+    return f"numpy {numpy.__version__}, OPENBLAS_CORETYPE={os.environ['OPENBLAS_CORETYPE']}"

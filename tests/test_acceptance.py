@@ -93,7 +93,7 @@ def test_criterion_01_block_structure():
 
 def test_criterion_02_analytic_oracle_equivalence():
     """Closed-form amplitudes match the numeric propagator to 1e-9."""
-    from cavity_route import analytic_u4, analytic_u6, block_coupling
+    from cavity_route import analytic_amplitudes
 
     grids = {False: np.linspace(*RES_WINDOW, 101), True: np.linspace(*DISP_WINDOW, 101)}
     for which in TRANSFER_TARGETS:
@@ -105,12 +105,7 @@ def test_criterion_02_analytic_oracle_equivalence():
             print(f"criterion 2 [{which} {regime}]: max_error={err:.3e} (<= 1e-9)")
             assert err <= 1e-9, f"{which} {regime}: analytic error {err:.3e}"
             # normalization of the closed-form amplitude vector
-            kappa = block_coupling(params, which)
-            u = (
-                analytic_u4(params, kappa, times)
-                if which in ("end", "upload")
-                else analytic_u6(params, kappa, times)
-            )
+            u = analytic_amplitudes(params, which, times)
             norm_err = np.max(np.abs(np.sum(np.abs(u) ** 2, axis=1) - 1.0))
             assert norm_err <= 1e-9, f"{which} {regime}: normalization off by {norm_err:.3e}"
 

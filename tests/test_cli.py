@@ -125,6 +125,34 @@ class TestTransferTime:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "key, value, flags",
+        [
+            ("grid", 2, []),
+            ("grid", True, []),
+            ("window", [1.0, 0.0], []),
+            ("window", 5, []),
+            ("window", [0.0, 1.0, 2.0], []),
+            ("window", None, ["--tmax", "-1"]),
+            ("window", None, ["--grid", "2"]),
+        ],
+    )
+    def test_custom_network_refused_before_decomposition(
+        self, tmp_path, capsys, monkeypatch, key, value, flags
+    ):
+        import numpy as np
+
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or original(m))
+        network = {"sites": [{"id": 0, "label": "l"}, {"id": 1, "label": "r"}]}
+        cfg = {"topology": "custom", "network": {**network, "edges": [[0, 1, 1]], "params": PARAMS}}
+        cfg = write_config(tmp_path, "c.json", {**cfg, key: value})
+        argv = ["transfer-time", "--config", cfg, "--source", "1", "--target", "3", *flags]
+        code, _, err = run_main(capsys, argv)
+        assert code == 2 and err.startswith("config error: ")
+        assert calls == []
+
     def test_block_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"block": "end", "params": PARAMS})
         code, out, _ = run_main(
@@ -476,6 +504,8 @@ def _with(base, **changes):
 
 
 ROUTE = _with(HEX_ROUTE, protocol__times=[T_UPLOAD, T_HOP])
+# a vertex name becomes part of site labels, which name trace CSV columns
+COMMA_HEX = {"vertices": ["a,x", "b"], "links": [["a,x", 1, "b", 1]], "uploads": ["a,x", "b"]}
 
 
 def run_failing(tmp_path, capsys, command, cfg, *flags):
@@ -569,6 +599,7 @@ class TestConfigContract:
             ("route", _with(ROUTE, descriptor=_with(HEX, vertices="ab")), []),
             ("blocks", {"topology": "hex_lattice", "descriptor": _with(HEX, vertices="ab")}, []),
             ("transfer-time", CUSTOM_BAD_LABELS, ["--source", "1", "--target", "3"]),
+            ("route", _with(ROUTE, descriptor=COMMA_HEX, protocol__path=["a,x", "b"]), []),
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capsys, command, cfg, flags):

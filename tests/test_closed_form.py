@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import warnings
 
 import numpy as np
@@ -10,9 +11,7 @@ from cavity_route import (
     DISPERSIVE,
     RESONANT,
     SystemParams,
-    analytic_u4,
-    analytic_u6,
-    block_coupling,
+    analytic_amplitudes,
     eigendecompose,
     extract_block,
     transition_amplitudes,
@@ -28,26 +27,33 @@ BLOCKS = ("end", "mid", "upload", "hop")
 
 class TestCellRow:
     def test_rejects_bad_kappa(self):
-        for amplitudes in (analytic_u4, analytic_u6):
-            for kappa in (0.0, -1.0, np.nan, np.inf):
-                with pytest.raises(ValueError, match="coupling"):
-                    amplitudes(RESONANT, kappa, 0.0)
+        # j is finite, but the block coupling scale * j is not
+        params = dataclasses.replace(RESONANT, j=sys.float_info.max)
+        for which in BLOCKS:
+            with pytest.raises(ValueError, match="overflows"):
+                analytic_amplitudes(params, which, 0.0)
 
-    @pytest.mark.parametrize("amplitudes", [analytic_u4, analytic_u6])
+    @pytest.mark.parametrize("which", BLOCKS)
     @pytest.mark.parametrize(
-        "params, kappa",
+        "params",
         [
-            (RESONANT, 1e308),
-            (dataclasses.replace(RESONANT, g=1e308), 1.0),
-            (dataclasses.replace(RESONANT, delta=1.7e308), 0.6e308),  # overflows shift + delta
+            dataclasses.replace(RESONANT, j=1e308),
+            dataclasses.replace(RESONANT, g=1e308),
+            dataclasses.replace(RESONANT, delta=1.7e308, j=0.4e308),  # overflows shift + delta
         ],
+        ids=["j", "g", "delta"],
     )
-    def test_refuses_overflowing_shift_or_splitting(self, amplitudes, params, kappa):
+    def test_refuses_overflowing_shift_or_splitting(self, params, which):
         # refused before any exp: no NaN amplitudes and no RuntimeWarning on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
-                amplitudes(params, kappa, 0.0)
+                analytic_amplitudes(params, which, 0.0)
+
+    @pytest.mark.parametrize("which", ["sideways", "END", None])
+    def test_unknown_block_name(self, which):
+        with pytest.raises(ValueError, match="unknown block name"):
+            analytic_amplitudes(RESONANT, which, 0.0)
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(
@@ -67,14 +73,13 @@ class TestCellRow:
         # rounding of the phases grows with t times the largest energy
         scale = 1.0 + t_max * np.linalg.norm(block.matrix, np.inf)
         assert validate_analytic(params, which, times) <= 1e-13 * scale
-        amplitudes = analytic_u4 if block.dim == 4 else analytic_u6
-        u = amplitudes(params, block_coupling(params, which), times)
+        u = analytic_amplitudes(params, which, times)
         assert np.abs(np.sum(np.abs(u) ** 2, axis=1) - 1.0).max() <= 1e-13
 
 
 class TestPairAmplitudes:
     def test_initial_condition(self):
-        u = analytic_u4(RESONANT, np.sqrt(2.0), 0.0)
+        u = analytic_amplitudes(RESONANT, "end", 0.0)
         assert u.shape == (4,)
         assert np.allclose(u, [0, 1, 0, 0], atol=1e-14)
 
@@ -83,8 +88,7 @@ class TestPairAmplitudes:
     )
     @pytest.mark.parametrize("which", ["end", "upload"])
     def test_matches_numeric_propagator(self, params, times, which):
-        kappa = block_coupling(params, which)
-        u = analytic_u4(params, kappa, times)
+        u = analytic_amplitudes(params, which, times)
         spectrum = eigendecompose(extract_block(params, which))
         for slot in range(4):
             numeric = transition_amplitudes(spectrum, 1, slot, times)
@@ -92,18 +96,18 @@ class TestPairAmplitudes:
 
     @pytest.mark.parametrize("params", [RESONANT, DISPERSIVE])
     def test_normalized(self, params):
-        u = analytic_u4(params, np.sqrt(2.0) * params.j, RES_TIMES)
+        u = analytic_amplitudes(params, "end", RES_TIMES)
         norms = np.sum(np.abs(u) ** 2, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
     def test_vectorized_shape(self):
-        u = analytic_u4(RESONANT, 2.0, np.linspace(0, 1, 13))
+        u = analytic_amplitudes(RESONANT, "upload", np.linspace(0, 1, 13))
         assert u.shape == (13, 4)
 
 
 class TestTrioAmplitudes:
     def test_initial_condition(self):
-        u = analytic_u6(RESONANT, 2.0, 0.0)
+        u = analytic_amplitudes(RESONANT, "hop", 0.0)
         assert u.shape == (6,)
         assert np.allclose(u, [0, 1, 0, 0, 0, 0], atol=1e-14)
 
@@ -112,8 +116,7 @@ class TestTrioAmplitudes:
     )
     @pytest.mark.parametrize("which", ["mid", "hop"])
     def test_matches_numeric_propagator(self, params, times, which):
-        kappa = block_coupling(params, which)
-        u = analytic_u6(params, kappa, times)
+        u = analytic_amplitudes(params, which, times)
         spectrum = eigendecompose(extract_block(params, which))
         for slot in range(6):
             numeric = transition_amplitudes(spectrum, 1, slot, times)
@@ -121,7 +124,7 @@ class TestTrioAmplitudes:
 
     @pytest.mark.parametrize("params", [RESONANT, DISPERSIVE])
     def test_normalized(self, params):
-        u = analytic_u6(params, 2.0 * params.j, DISP_TIMES)
+        u = analytic_amplitudes(params, "hop", DISP_TIMES)
         norms = np.sum(np.abs(u) ** 2, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
@@ -131,7 +134,7 @@ class TestTrioAmplitudes:
         # transfer is mirror-symmetric in distribution: |u1|=|u1|, and the
         # middle cavity couples evenly, so total probability splits evenly
         # between the two end cells at the revival halfway point
-        u = analytic_u6(RESONANT, 2.0, 0.0)
+        u = analytic_amplitudes(RESONANT, "hop", 0.0)
         assert abs(u[2]) == abs(u[4]) == 0.0
 
 

@@ -11,7 +11,6 @@ from cavity_route import (
     HexLatticeDescriptor,
     OrthogonalTransform,
     SystemParams,
-    block_coupling,
     block_decompose,
     build_diamond_chain,
     build_hex_lattice,
@@ -22,6 +21,7 @@ from cavity_route import (
     lattice_collective_basis,
     switch_collective_basis,
 )
+from cavity_route.network import ARRAY_BUDGET
 
 TWO_VERTEX = HexLatticeDescriptor(
     vertices=("a", "b"), links=(("a", 1, "b", 1),), uploads=("a", "b")
@@ -55,6 +55,12 @@ class TestChainBasis:
         t = chain_collective_basis(n)
         assert t.dim == 2 * (3 * n + 1)
         assert np.allclose(t.matrix @ t.matrix.T, np.eye(t.dim), atol=1e-14)
+
+    def test_dense_transform_above_the_array_budget_is_refused(self):
+        # 683 units have 4100 modes: a dense 4100 x 4100 Q holds more than ARRAY_BUDGET elements
+        assert (2 * (3 * 683 + 1)) ** 2 > ARRAY_BUDGET >= (2 * (3 * 682 + 1)) ** 2
+        with pytest.raises(ValueError, match="budget"):
+            chain_collective_basis(683)
 
     def test_block_sizes_n2(self):
         blocks, residual = _decompose(build_diamond_chain(2), chain_collective_basis(2))
@@ -130,8 +136,6 @@ class TestExtractBlock:
         for alias in ("first", "last", "middle", "interior", "port", "port2", "link", "END"):
             with pytest.raises(ValueError, match="unknown block name"):
                 extract_block(RESONANT, alias)
-            with pytest.raises(ValueError, match="unknown block name"):
-                block_coupling(RESONANT, alias)
 
     def test_pair_block_layout(self):
         params = SystemParams(omega_c=2.0, delta=0.5, g=3.0, j=1.25)
@@ -159,10 +163,11 @@ class TestExtractBlock:
             assert m[2 * cell + 1, 2 * cell + 1] == params.omega_a
 
     def test_couplings(self):
-        assert block_coupling(RESONANT, "end") == pytest.approx(np.sqrt(2.0))
-        assert block_coupling(RESONANT, "mid") == pytest.approx(np.sqrt(2.0))
-        assert block_coupling(RESONANT, "upload") == 2.0
-        assert block_coupling(RESONANT, "hop") == 2.0
+        # matrix[0, 2] is the coupling of the first two cavities
+        assert extract_block(RESONANT, "end").matrix[0, 2] == pytest.approx(np.sqrt(2.0))
+        assert extract_block(RESONANT, "mid").matrix[0, 2] == pytest.approx(np.sqrt(2.0))
+        assert extract_block(RESONANT, "upload").matrix[0, 2] == 2.0
+        assert extract_block(RESONANT, "hop").matrix[0, 2] == 2.0
 
 
 class TestResiduals:

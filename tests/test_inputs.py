@@ -21,6 +21,7 @@ from cavity_route import (
     Schedule,
     Site,
     SystemParams,
+    auto_grid_points,
     build_diamond_chain,
     build_hex_lattice,
     chain_collective_basis,
@@ -75,6 +76,14 @@ MALFORMED = {
     "population-float-site": ("site", lambda: site_population(STATE, 1.0, "atom")),
     "search-float-grid": ("grid_points", lambda: find_transfer_time(END, 1, 3, grid_points=5001.0)),
     "search-inf-window": ("window", lambda: find_transfer_time(END, 1, 3, window=(0, INF))),
+    "search-scalar-window": ("window", lambda: find_transfer_time(END, 1, 3, window=5)),
+    "search-triple-window": ("window", lambda: find_transfer_time(END, 1, 3, window=(0, 1, 2))),
+    "autogrid-none-window": ("window", lambda: auto_grid_points(END, None)),
+    "state-odd-length": ("amplitudes", lambda: ExcitationState(amps=[1.0])),
+    "population-odd-state": (
+        "amplitudes",
+        lambda: site_population(ExcitationState(amps=[1.0]), 0, "cavity"),
+    ),
     "run-float-samples": (
         "samples_per_window",
         lambda: run_schedule(CHAIN, CHAIN_SCHEDULE, samples_per_window=3.0),
@@ -137,6 +146,10 @@ NUMPY_SCALARS = {
     "search": (
         lambda: find_transfer_time(END, 1, 3, window=(0.0, 10.0), grid_points=2001),
         lambda: find_transfer_time(END, I(1), I(3), window=(F(0.0), I(10)), grid_points=I(2001)),
+    ),
+    "search-array-window": (
+        lambda: find_transfer_time(END, 1, 3, window=[0.0, 10.0], grid_points=2001),
+        lambda: find_transfer_time(END, 1, 3, window=np.array([0.0, 10.0]), grid_points=2001),
     ),
     "excitation-amps": (
         lambda: ExcitationState.excitation(4, 1).amps.tolist(),

@@ -319,6 +319,15 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match="malformed network spec"):
             NetworkSpec.from_json_dict(data)
 
+    @pytest.mark.parametrize("label", ["a,x", "a|x", "b\nc", "b\r\nc", "x\r", "a\u2028b"])
+    def test_site_label_cannot_break_a_csv_column_or_basis_list(self, label):
+        # labels name trace CSV columns and enter the '|'-joined basis of `blocks --out`
+        with pytest.raises(ValueError, match="site label"):
+            Site(0, label)
+        desc = HexLatticeDescriptor((label, "b"), ((label, 1, "b", 1),), (label, "b"))
+        with pytest.raises(ValueError, match="site label"):
+            build_hex_lattice(desc)
+
     @pytest.mark.parametrize(
         "vertices, links, uploads",
         [

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from cavity_route import (
     RESONANT,
@@ -11,19 +14,25 @@ from cavity_route import (
     PhaseFlip,
     PhaseShift,
     Schedule,
+    SystemParams,
+    atom_index,
     build_diamond_chain,
     build_hex_lattice,
+    build_single_excitation_hamiltonian,
     build_switch,
+    cavity_index,
     chain_routing_schedule,
     entanglement_transfer,
     extract_block,
     find_transfer_time,
     hex_routing_schedule,
     local_phase_flip,
+    photon_population,
     run_schedule,
     switch_port_flip,
     switch_schedule,
 )
+from cavity_route.routing import NORM_TOLERANCE
 
 TWO_VERTEX = HexLatticeDescriptor(
     vertices=("a", "b"), links=(("a", 1, "b", 1),), uploads=("a", "b")
@@ -48,6 +57,12 @@ class TestSteps:
     def test_flip_rejects_empty(self):
         with pytest.raises(ValueError):
             PhaseFlip(atom_sites=())
+
+    @pytest.mark.parametrize("steps", [(), (PhaseFlip((2,)),), (PhaseShift(2, 0.5), PhaseFlip((2,)))])
+    def test_schedule_needs_an_evolution_window(self, steps):
+        # refused when built, not after run_schedule has decomposed a network
+        with pytest.raises(ValueError, match="no evolution window"):
+            Schedule(steps=steps, source=(0, "atom"), target=(6, "atom"))
 
     def test_schedule_rejects_bad_kind(self):
         with pytest.raises(ValueError):
@@ -250,6 +265,12 @@ class TestRunSchedule:
         assert trace.populations.shape == (trace.num_samples, 2)
         assert trace.populations[0, 0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("label", ["a,b", "a|b", "a\nb", "a\r", "a\u2028b"])
+    def test_track_label_cannot_break_the_csv(self, label):
+        spec, sched = self._spec_and_schedule()
+        with pytest.raises(ValueError, match="track labels"):
+            run_schedule(spec, sched, samples_per_window=2, track=[(label, 1)])
+
     def test_custom_track(self):
         spec, sched = self._spec_and_schedule()
         trace = run_schedule(
@@ -269,8 +290,8 @@ class TestRunSchedule:
 
     def test_rejects_schedule_without_evolution(self):
         spec, _ = self._spec_and_schedule()
-        bare = Schedule(steps=(PhaseFlip((2,)),), source=(0, "atom"), target=(6, "atom"))
         with pytest.raises(ValueError):
+            bare = Schedule(steps=(PhaseFlip((2,)),), source=(0, "atom"), target=(6, "atom"))
             run_schedule(spec, bare)
 
     def test_final_amplitude_matches_final_state(self):
@@ -350,3 +371,93 @@ class TestEntanglementTransfer:
         u_skewed = skewed.final_amplitude / beta
         assert abs(u_entangled - u_plain) <= 1e-12
         assert abs(u_skewed - u_plain) <= 1e-12
+
+
+# --- run_schedule against an independent oracle -----------------------------
+
+BRICK_WALLS = {
+    # vertex (r, c) is "r{r}c{c}"; (r, c)-(r, c+1) joins ports 1 and 2, and
+    # (r, c)-(r+1, c) joins the two port-3s when r + c is even
+    "1x2": HexLatticeDescriptor(("r0c0", "r0c1"), (("r0c0", 1, "r0c1", 2),), ("r0c0", "r0c1")),
+    "2x2": HexLatticeDescriptor(
+        ("r0c0", "r0c1", "r1c0", "r1c1"),
+        (("r0c0", 1, "r0c1", 2), ("r0c0", 3, "r1c0", 3), ("r1c0", 1, "r1c1", 2)),
+        ("r0c0", "r0c1", "r1c0", "r1c1"),
+    ),
+}
+BRICK_ROUTES = {"1x2": ["r0c0", "r0c1"], "2x2": ["r0c1", "r0c0", "r1c0", "r1c1"]}
+
+
+@st.composite
+def networks_and_schedules(draw):
+    """A small network, a builder schedule or random steps, and an initial state."""
+    params = SystemParams(
+        omega_c=draw(st.floats(-5.0, 5.0)),
+        delta=draw(st.floats(-40.0, 40.0)),
+        g=draw(st.floats(0.5, 15.0)),
+        j=draw(st.floats(0.2, 5.0)),
+    )
+    # expm's cost grows with |H| t: these keep the whole test near a second
+    times = st.floats(0.01, 1.0)
+    kind = draw(st.sampled_from(["chain", "switch", "1x2", "2x2"]))
+    if kind == "chain":
+        n = draw(st.integers(1, 4))
+        spec = build_diamond_chain(n, params)
+        built = chain_routing_schedule(n, draw(times), draw(times))
+    elif kind == "switch":
+        spec, built = build_switch(params), switch_schedule(draw(st.integers(1, 3)), draw(times))
+    else:
+        spec = build_hex_lattice(BRICK_WALLS[kind], params)
+        built = hex_routing_schedule(BRICK_WALLS[kind], BRICK_ROUTES[kind], draw(times), draw(times))
+    sites = st.integers(0, spec.num_sites - 1)
+    step = st.one_of(
+        st.builds(Evolve, st.floats(0.0, 1.0)),
+        st.builds(PhaseFlip, st.lists(sites, min_size=1, max_size=4, unique=True).map(tuple)),
+        st.builds(PhaseShift, sites, st.floats(-math.pi, math.pi)),
+    )
+    steps = draw(st.lists(step, max_size=6))
+    if draw(st.booleans()) or not any(isinstance(s, Evolve) for s in steps):
+        steps = list(built.steps) + steps
+    kinds = st.sampled_from(["atom", "cavity"])
+    schedule = Schedule(tuple(steps), (draw(sites), draw(kinds)), (draw(sites), draw(kinds)))
+    initial = None
+    if draw(st.booleans()):  # a random normalised state with a vacuum part
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        amps = np.array([1.0, 1j]) @ rng.normal(size=(2, spec.dim + 1))
+        amps /= np.linalg.norm(amps)
+        initial = ExcitationState(amps=amps[1:], vac=amps[0])
+    return spec, schedule, initial, draw(st.integers(2, 5))
+
+
+def _expm_fold(spec, schedule, initial: ExcitationState) -> np.ndarray:
+    """Final amplitudes from ``expm(-i H d)`` per window and a diagonal phase per atom step."""
+    h = build_single_excitation_hamiltonian(spec)
+    windows = {}  # builder schedules repeat their durations
+    amps = initial.amps
+    for step in schedule.steps:
+        if isinstance(step, Evolve):
+            if step.duration not in windows:
+                windows[step.duration] = expm(-1j * h * step.duration)
+            amps = windows[step.duration] @ amps
+        else:
+            phases = np.ones(spec.dim, dtype=complex)
+            phases[[atom_index(site) for site in step.atom_sites]] = step.factor
+            amps = phases * amps
+    return amps
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(case=networks_and_schedules())
+def test_run_schedule_matches_the_expm_fold(case):
+    spec, schedule, initial, samples = case
+    trace = run_schedule(spec, schedule, initial=initial, samples_per_window=samples)
+    if initial is None:  # run_schedule starts from the source mode
+        site, kind = schedule.source
+        row = (atom_index if kind == "atom" else cavity_index)(site)
+        initial = ExcitationState.excitation(spec.dim, row)
+    expected = _expm_fold(spec, schedule, initial)
+    assert np.abs(trace.final_state.amps - expected).max() <= 1e-10
+    assert trace.final_state.vac == initial.vac
+    assert np.abs(trace.norms - math.sqrt(initial.norm_sq)).max() <= NORM_TOLERANCE
+    # the same cavity rows, summed in another order
+    assert trace.photon[-1] == pytest.approx(photon_population(trace.final_state), abs=1e-15)
