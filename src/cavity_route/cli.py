@@ -53,6 +53,7 @@ import numpy as np
 
 from .closed_form import validate_analytic
 from .collective import (
+    _residual_bound,
     block_decompose,
     chain_collective_basis,
     extract_block,
@@ -89,7 +90,6 @@ from .routing import (
 
 __all__ = ["main", "emit_trace_csv", "ConfigError"]
 
-_RESIDUAL_THRESHOLD = 1e-12
 _ANALYTIC_THRESHOLD = 1e-9
 _FIDELITY_FLOOR = 0.99
 _LEAKAGE_CEILING = 1e-6
@@ -238,10 +238,10 @@ def _cmd_blocks(args) -> int:
                 lines.append(",".join(f"{x:.12g}" for x in row))
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-    shown = "<=1e-12" if residual <= _RESIDUAL_THRESHOLD else f"{residual:.3e}"
+    shown = "<=1e-12" if residual <= 1e-12 else f"{residual:.3e}"
     print(f"blocks: {','.join(str(b.dim) for b in blocks)} residual: {shown}")
-    if args.strict and not (_RESIDUAL_THRESHOLD >= residual):
-        print(f"strict: residual {residual:.3e} above {_RESIDUAL_THRESHOLD}", file=sys.stderr)
+    if args.strict and not (_residual_bound(h) >= residual):
+        print(f"strict: residual {residual:.3e} above {_residual_bound(h):.3e}", file=sys.stderr)
         return 1
     return 0
 
@@ -305,9 +305,9 @@ def _trace_fields(trace: TraceResult, **extra) -> dict:
 
 def _run_chain(cfg: dict, proto: dict, params: SystemParams, times, samples: int):
     """end-to-end diamond-chain transfer"""
-    n = _chain_size(cfg)
-    schedule = chain_routing_schedule(n, *times)
-    trace = run_schedule(build_diamond_chain(n, params), schedule, samples_per_window=samples)
+    schedule = chain_routing_schedule(_chain_size(cfg), *times)
+    spec, basis = _network_and_basis(cfg, params)
+    trace = run_schedule(spec, schedule, samples_per_window=samples, basis=basis)
     return trace, _trace_fields(trace)
 
 
@@ -315,27 +315,27 @@ def _run_switch(cfg: dict, proto: dict, params: SystemParams, times, samples: in
     """steer through the four-port switch"""
     schedule = switch_schedule(proto.get("port"), *times)
     port = schedule.target[0]
-    spec = build_switch(params)
+    spec, basis = _network_and_basis(cfg, params)
     track = [(f"atom[{spec.sites[k].label}]", atom_index(k)) for k in range(4)]
-    trace = run_schedule(spec, schedule, samples_per_window=samples, track=track)
+    trace = run_schedule(spec, schedule, samples_per_window=samples, track=track, basis=basis)
     leakage = sum(site_population(trace.final_state, k, "atom") for k in (1, 2, 3) if k != port)
     return trace, _trace_fields(trace, leakage=leakage)
 
 
 def _run_route(cfg: dict, proto: dict, params: SystemParams, times, samples: int):
     """route along a lattice vertex path"""
-    desc = _descriptor(cfg)
-    schedule = hex_routing_schedule(desc, proto.get("path"), *times)
-    trace = run_schedule(build_hex_lattice(desc, params), schedule, samples_per_window=samples)
+    schedule = hex_routing_schedule(_descriptor(cfg), proto.get("path"), *times)
+    spec, basis = _network_and_basis(cfg, params)
+    trace = run_schedule(spec, schedule, samples_per_window=samples, basis=basis)
     return trace, _trace_fields(trace)
 
 
 def _run_entangle(cfg: dict, proto: dict, params: SystemParams, times, samples: int):
     """entanglement transfer on a chain"""
-    n = _chain_size(cfg)
-    spec, schedule = build_diamond_chain(n, params), chain_routing_schedule(n, *times)
+    schedule = chain_routing_schedule(_chain_size(cfg), *times)
+    spec, basis = _network_and_basis(cfg, params)
     compensate = proto.get("compensate", True)
-    result = entanglement_transfer(spec, schedule, compensate, samples_per_window=samples)
+    result = entanglement_transfer(spec, schedule, compensate, samples, basis)
     return result.trace, {
         "t_total": result.trace.total_time,
         "bell_fidelity": result.bell_fidelity,

@@ -38,13 +38,34 @@ __all__ = [
 ]
 
 
+def _residual_bound(h: np.ndarray) -> float:
+    """``1e-12 max(1, max |h|)``: the largest ``block_decompose`` residual that is rounding."""
+    return 1e-12 * max(1.0, float(np.abs(h).max()))
+
+
+def _padded(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``m``: indices and values of its nonzeros ``m[rows, cols]``, zero-padded."""
+    slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # place inside its row
+    index = np.zeros((m.shape[0], int(slot.max(initial=0)) + 1), dtype=np.intp)
+    values = np.zeros(index.shape)
+    index[rows, slot], values[rows, slot] = cols, m[rows, cols]
+    return index, values
+
+
+def _sparse_product(view: tuple[np.ndarray, np.ndarray], vec) -> np.ndarray:
+    """``M @ vec`` from the ``_padded`` view of ``M``; ``vec`` may carry trailing axes."""
+    index, values = view
+    return np.einsum("rk,rk...->r...", values, np.asarray(vec)[index])
+
+
 @dataclass(frozen=True)
 class OrthogonalTransform:
     """Orthogonal change of basis with named rows grouped into blocks.
 
     ``matrix`` has one orthonormal row per collective mode (every row holds
     at most four nonzero entries, each ``+-1/2``, ``+-1/sqrt(2)`` or ``1``);
-    ``groups`` partitions the row indices into the invariant subspaces.
+    ``groups`` partitions the row indices into the invariant subspaces.  The
+    products with a vector use only the nonzeros, read once from ``matrix``.
     """
 
     matrix: np.ndarray
@@ -59,11 +80,17 @@ class OrthogonalTransform:
         if len(self.labels) != q.shape[0]:
             raise ValueError("one label per row required")
         covered = sorted(i for _, idx in self.groups for i in idx)
-        if covered != list(range(q.shape[0])):
+        if covered != list(range(q.shape[0])) or not all(idx for _, idx in self.groups):
             raise ValueError("groups must partition all rows exactly once")
-        # one fixed probe costs O(dim^2); a dense Q Q^T would cost as much as block_decompose
+        # the nonzeros of the rows of Q and of Q^T, for every product with a vector
+        rows, cols = np.divmod(np.flatnonzero(q.ravel() != 0.0), q.shape[0])  # sorted by row
+        by_col = np.lexsort((rows, cols))
+        object.__setattr__(self, "_rows", _padded(q, rows, cols))
+        object.__setattr__(self, "_columns", _padded(q.T, cols[by_col], rows[by_col]))
+        # one fixed probe through the nonzeros costs O(dim); a dense Q Q^T would cost O(dim^3)
         probe = np.sin(np.arange(1.0, q.shape[0] + 1.0))  # no entry vanishes; no numpy.random
-        if not np.abs(q.T @ (q @ probe) - probe).max(initial=0.0) <= 1e-10:
+        round_trip = self.from_collective(self.to_collective(probe))
+        if not np.abs(round_trip - probe).max(initial=0.0) <= 1e-10:
             raise ValueError("transform rows must be orthonormal")
 
     @property
@@ -72,10 +99,12 @@ class OrthogonalTransform:
 
     def to_collective(self, vec: np.ndarray) -> np.ndarray:
         """Coordinates of a site-basis vector in the collective basis."""
-        return self.matrix @ np.asarray(vec)
+        return _sparse_product(self._rows, vec)
 
-    def from_collective(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ np.asarray(vec)
+    def from_collective(self, vec: np.ndarray, modes=slice(None)) -> np.ndarray:
+        """Site-basis amplitudes of collective coordinates ``vec``, on ``modes`` (default all)."""
+        index, values = self._columns
+        return _sparse_product((index[modes], values[modes]), vec)
 
 
 @dataclass(frozen=True)
@@ -231,13 +260,13 @@ def block_decompose(
         )
     hc = q @ h @ q.T
     blocks: list[BlockHamiltonian] = []
-    mask = np.zeros_like(hc, dtype=bool)
-    for name, idx in transform.groups:
-        sel = np.ix_(idx, idx)
-        mask[sel] = True
+    owner = np.empty(transform.dim, dtype=np.intp)  # group of each row
+    for group, (name, idx) in enumerate(transform.groups):
+        rows = np.array(idx, dtype=np.intp)
+        owner[rows] = group
         labels = tuple(transform.labels[i] for i in idx)
-        blocks.append(BlockHamiltonian(matrix=hc[sel], labels=labels, name=name))
-    residual = float(np.abs(np.where(mask, 0.0, hc)).max())
+        blocks.append(BlockHamiltonian(matrix=hc[rows[:, None], rows], labels=labels, name=name))
+    residual = float(np.abs(hc[owner[:, None] != owner]).max(initial=0.0))
     return blocks, residual
 
 

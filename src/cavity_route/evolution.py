@@ -113,11 +113,11 @@ class Spectrum:
     """Eigendecomposition of a real symmetric Hamiltonian."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns
+    eigenvectors: np.ndarray  # columns; a stack of matrices carries a leading axis
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
 
 class TransferResult(NamedTuple):
@@ -129,15 +129,15 @@ class TransferResult(NamedTuple):
 
 
 def eigendecompose(h: np.ndarray | BlockHamiltonian) -> Spectrum:
-    """Eigendecomposition of a real symmetric matrix.
+    """Eigendecomposition of a real symmetric matrix, or of a ``(k, d, d)`` stack of them.
 
     Raises ``ValueError`` for non-square or non-symmetric input.
     """
     m = _as_matrix(h)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"hamiltonian must be square, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > 1e-12 * scale:
+    if float(np.abs(m - np.swapaxes(m, -1, -2)).max()) > 1e-12 * scale:
         raise ValueError("hamiltonian must be symmetric")
     eigenvalues, eigenvectors = np.linalg.eigh(m)
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
@@ -148,11 +148,15 @@ def _spectrum(h: np.ndarray | BlockHamiltonian | Spectrum) -> Spectrum:
     return h if isinstance(h, Spectrum) else eigendecompose(h)
 
 
-def _evolve(spectrum: Spectrum, amps: np.ndarray, times) -> np.ndarray:
-    """``V exp(-i L t) V^T amps`` for every ``t``: one column per time."""
+def _phases(spectrum: Spectrum, times) -> np.ndarray:
+    """``exp(-i L t)`` for every ``t``: one column per time, after any stack axis."""
+    return np.exp(-1j * (spectrum.eigenvalues[..., None] * np.asarray(times)))
+
+
+def _evolve(spectrum: Spectrum, amps: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """``V exp(-i L t) V^T amps`` from ``_phases(spectrum, times)``: one column per time."""
     v = spectrum.eigenvectors
-    phases = np.exp(-1j * np.outer(spectrum.eigenvalues, times))
-    return v @ (phases * (v.T @ amps)[:, None])
+    return v @ (phases * (np.swapaxes(v, -1, -2) @ amps[..., None]))
 
 
 def propagate(spectrum: Spectrum, state: ExcitationState, t: float) -> ExcitationState:
@@ -162,7 +166,8 @@ def propagate(spectrum: Spectrum, state: ExcitationState, t: float) -> Excitatio
     """
     if state.dim != spectrum.dim:
         raise ValueError(f"state dim {state.dim} != spectrum dim {spectrum.dim}")
-    return ExcitationState(amps=_evolve(spectrum, state.amps, [_real(t, "t")])[:, 0], vac=state.vac)
+    amps = _evolve(spectrum, state.amps, _phases(spectrum, [_real(t, "t")]))[:, 0]
+    return ExcitationState(amps=amps, vac=state.vac)
 
 
 def _amp_on_grid(weights: np.ndarray, eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:

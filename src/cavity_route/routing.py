@@ -8,8 +8,9 @@ invariant block to the next.  ``PhaseShift`` multiplies one atom amplitude
 by an arbitrary phase.  ``entanglement_transfer`` applies no such step: it
 computes the phase-compensated Bell fidelity from the transfer amplitude.
 
-``run_schedule`` always evolves under the full network Hamiltonian - the
-block picture is what the tests check it against, not what it computes.
+``run_schedule`` evolves inside the invariant blocks of a collective basis, with one
+eigendecomposition per block size; each flip is one round trip through the basis.
+Without a basis the whole network is one block: the dense reference.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .evolution import ExcitationState, _evolve, eigendecompose
+from .collective import OrthogonalTransform, _residual_bound, _transform, block_decompose
+from .evolution import ExcitationState, _evolve, _phases, eigendecompose
 from .network import (
     ARRAY_BUDGET,
     HADAMARD_SIGNS,
@@ -137,17 +139,12 @@ class Schedule:
         return sum(1 for step in self.steps if isinstance(step, PhaseFlip))
 
 
-def _scale_atoms(state: ExcitationState, atom_sites, factor: complex) -> ExcitationState:
-    """Multiply the atom amplitude at each listed site by ``factor``."""
-    amps = state.amps.copy()
-    for site in _listed(atom_sites, "atom_sites"):
-        amps[atom_index(_count(site, "atom site", 0, state.dim // 2 - 1))] *= factor
-    return ExcitationState(amps=amps, vac=state.vac)
-
-
 def local_phase_flip(state: ExcitationState, atom_sites) -> ExcitationState:
     """Flip the sign of the atom amplitude at each listed site."""
-    return _scale_atoms(state, atom_sites, PhaseFlip.factor)
+    amps = state.amps.copy()
+    for site in _listed(atom_sites, "atom_sites"):
+        amps[atom_index(_count(site, "atom site", 0, state.dim // 2 - 1))] *= PhaseFlip.factor
+    return ExcitationState(amps=amps, vac=state.vac)
 
 
 def chain_routing_schedule(n: int, t1: float, t2: float) -> Schedule:
@@ -295,8 +292,13 @@ def run_schedule(
     initial: ExcitationState | None = None,
     samples_per_window: int = 241,
     track=None,
+    basis: OrthogonalTransform | None = None,
 ) -> TraceResult:
-    """Execute a schedule under the full network Hamiltonian.
+    """Execute a schedule inside the blocks of ``basis``, e.g. ``chain_collective_basis(n)``.
+
+    ``None`` makes the whole network one block (the dense reference).  A basis whose
+    off-block residual exceeds ``1e-12 max(1, max |H|)`` (it would give wrong dynamics),
+    or with a row mixing cavity and atom modes, raises ``ValueError`` before any window.
 
     Populations are sampled on ``samples_per_window`` equally spaced points
     per evolution window (window edges included; the duplicate sample at a
@@ -316,50 +318,72 @@ def run_schedule(
         initial = ExcitationState.excitation(spec.dim, src)
     if initial.dim != spec.dim:
         raise ValueError(f"initial state dim {initial.dim} != network dim {spec.dim}")
+    atom_rows = {}  # per distinct flip or shift; its sites are ints >= 0 since construction
     for step in schedule.steps:
-        if not isinstance(step, Evolve):
-            for site in step.atom_sites:
-                _mode_index(spec, site, "atom")
+        if not isinstance(step, Evolve) and step not in atom_rows:
+            _count(max(step.atom_sites), "atom site", 0, spec.num_sites - 1)
+            atom_rows[step] = atom_index(np.array(step.atom_sites))
     if track is None:
         track = [(f"atom[{spec.sites[schedule.source[0]].label}]", src)]
         if tgt != src:
             track.append((f"atom[{spec.sites[schedule.target[0]].label}]", tgt))
     labels = tuple(_label(label, "track labels") for label, _ in track)
-    mode_rows = [_count(row, f"track row of {label!r}", 0, spec.dim - 1) for label, row in track]
+    modes = [_count(row, f"track row of {label!r}", 0, spec.dim - 1) for label, row in track]
+    modes = np.array(modes, dtype=int)  # an index array even when empty
 
     h = build_single_excitation_hamiltonian(spec)
-    spectrum = eigendecompose(h)
-    cavity_rows = cavity_index(np.arange(spec.num_sites))
+    if basis is None:  # every mode is its own collective mode, all in one block
+        basis = _transform(spec.dim, [("network", [(str(m), {m: 1.0}) for m in range(spec.dim)])])
+    blocks, residual = block_decompose(h, basis)
+    if not residual <= _residual_bound(h):
+        raise ValueError(f"basis does not block-diagonalize the network: residual {residual:.3e}")
+    index, values = basis._rows
+    kind = np.where(values != 0.0, index % 2, index[:, :1] % 2)  # cavity modes are even
+    mixed = np.flatnonzero(np.ptp(kind, axis=1))
+    if mixed.size:
+        raise ValueError(f"basis row {basis.labels[mixed[0]]!r} mixes cavity and atom modes")
+    cavity_rows = np.flatnonzero(kind[:, 0] == 0)
+    stacks = []  # per block size: the collective rows of each block, and their spectra
+    for size in sorted({block.dim for block in blocks}):
+        rows = np.array([idx for _, idx in basis.groups if len(idx) == size])
+        stacks.append((rows, eigendecompose(np.stack([b.matrix for b in blocks if b.dim == size]))))
 
     times: list[np.ndarray] = []
     photon: list[np.ndarray] = []
     tracked: list[np.ndarray] = []
     norms: list[np.ndarray] = []
-    state = initial
+    x = basis.to_collective(initial.amps)
     t_offset = 0.0
-    first_window = True
+    keep = slice(None)  # the first window keeps its t = 0 sample
+    phases: dict = {}  # each stack's phases at the sample times, per window duration
     norm0 = np.sqrt(initial.norm_sq)
     for step in schedule.steps:
         if not isinstance(step, Evolve):
-            state = _scale_atoms(state, step.atom_sites, step.factor)
+            amps = basis.from_collective(x)
+            amps[atom_rows[step]] *= step.factor
+            x = basis.to_collective(amps)
             continue
         taus = np.linspace(0.0, step.duration, samples_per_window)
-        evolved = _evolve(spectrum, state.amps, taus)  # (dim, samples)
-        pops = np.abs(evolved) ** 2
-        keep = slice(None) if first_window else slice(1, None)
+        if step.duration not in phases:  # two kept: builder schedules repeat at most two
+            phases = {} if len(phases) == 2 else phases
+            phases[step.duration] = [_phases(spectrum, taus) for _, spectrum in stacks]
+        evolved = np.empty((spec.dim, samples_per_window), dtype=complex)  # collective rows
+        for (rows, spectrum), p in zip(stacks, phases[step.duration]):
+            evolved[rows] = _evolve(spectrum, x[rows], p)
+        pops = np.abs(evolved[:, keep]) ** 2
         times.append(t_offset + taus[keep])
-        photon.append(pops[cavity_rows, keep].sum(axis=0))
-        tracked.append(pops[mode_rows][:, keep].T)
-        norms.append(np.sqrt(pops[:, keep].sum(axis=0) + abs(state.vac) ** 2))
+        photon.append(pops[cavity_rows].sum(axis=0))
+        tracked.append(np.abs(basis.from_collective(evolved[:, keep], modes).T) ** 2)
+        norms.append(np.sqrt(pops.sum(axis=0) + abs(initial.vac) ** 2))
         drift = float(np.abs(norms[-1] - norm0).max())
         if not drift <= NORM_TOLERANCE:
             what = f"norm drift {drift:.3e}" if np.isfinite(drift) else "non-finite norm"
             raise FloatingPointError(f"{what} in evolution window {len(norms)}")
-        state = ExcitationState(amps=evolved[:, -1], vac=state.vac)
+        x = evolved[:, -1]
         t_offset += step.duration
-        first_window = False
+        keep = slice(1, None)
 
-    final_amplitude = complex(state.amps[tgt])
+    state = ExcitationState(amps=basis.from_collective(x), vac=initial.vac)
     return TraceResult(
         times=np.concatenate(times),
         photon=np.concatenate(photon),
@@ -367,7 +391,7 @@ def run_schedule(
         labels=labels,
         norms=np.concatenate(norms),
         final_state=state,
-        final_amplitude=final_amplitude,
+        final_amplitude=complex(state.amps[tgt]),
         total_time=t_offset,
     )
 
@@ -394,6 +418,7 @@ def entanglement_transfer(
     schedule: Schedule,
     compensate: bool = True,
     samples_per_window: int = 2,
+    basis: OrthogonalTransform | None = None,
 ) -> EntanglementResult:
     """Transfer one half of an entangled pair through the network.
 
@@ -404,13 +429,14 @@ def entanglement_transfer(
     the ideal pair ``(|0>_R |vac> + |1>_R |atom_tgt>) / sqrt(2)`` is
     ``|(1 + u)|^2 / 4``; compensating the transfer phase with a local
     ``PhaseShift`` on the target atom turns this into ``((1 + |u|) / 2)^2``.
+    ``basis`` is passed on to ``run_schedule``.
     """
     if not isinstance(compensate, bool):
         raise ValueError(f"compensate must be a bool, got {compensate!r}")
     src = _mode_index(spec, *schedule.source)
     s = 1.0 / np.sqrt(2.0)
     initial = ExcitationState.with_vacuum(spec.dim, src, s, s)
-    trace = run_schedule(spec, schedule, initial=initial, samples_per_window=samples_per_window)
+    trace = run_schedule(spec, schedule, initial, samples_per_window, basis=basis)
     u = complex(np.sqrt(2.0) * trace.final_amplitude)
     theta = float(np.angle(u))
     if compensate:

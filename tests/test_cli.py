@@ -89,7 +89,18 @@ class TestBlocks:
         code, out, err = run_main(capsys, ["blocks", "--config", cfg, "--strict"])
         assert code == 1
         assert out == "blocks: 4,6,6,4 residual: 1.414e+00\n"
-        assert err == "strict: residual 1.414e+00 above 1e-12\n"
+        # the bound is 1e-12 max(1, max |H|), here g = 65
+        assert err == "strict: residual 1.414e+00 above 6.500e-11\n"
+
+    def test_strict_residual_is_relative_to_the_largest_entry(self, tmp_path, capsys):
+        # |H| reaches 1e6: a residual of 4e-11 is rounding, 4e-17 of the largest entry
+        params = {"omega_c": 1e6, "delta": -1e5, "g": 65.0, "j": 1.0}
+        chain = {"topology": "diamond_chain", "n": 30, "params": params}
+        cfg = write_config(tmp_path, "c.json", chain)
+        code, out, err = run_main(capsys, ["blocks", "--config", cfg, "--strict"])
+        assert (code, err) == (0, "")
+        residual = float(out.split("residual: ")[1])
+        assert 1e-12 < residual <= 1e-12 * 1e6
 
     def test_custom_topology_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"topology": "custom", "params": PARAMS})
@@ -658,3 +669,62 @@ class TestNormDrift:
         code, err = run_failing(tmp_path, capsys, "simulate", cfg)
         assert code == 1
         assert err.startswith("numerical error: norm drift")
+
+
+def _brick_wall(rows, cols):
+    """Vertices and links of a brick-wall lattice, the benchmark's layout."""
+    name = "r{}c{}".format
+    vertices = [name(r, c) for r in range(rows) for c in range(cols)]
+    links = [[name(r, c), 1, name(r, c + 1), 2] for r in range(rows) for c in range(cols - 1)]
+    links += [
+        [name(r, c), 3, name(r + 1, c), 3]
+        for r in range(rows - 1)
+        for c in range(cols)
+        if (r + c) % 2 == 0
+    ]
+    return vertices, links
+
+
+class TestBlockNativeProtocols:
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            (
+                "simulate",
+                {"topology": "diamond_chain", "n": 30, "protocol": {"times": [T1, T2]}},
+            ),
+            ("switch", {"topology": "switch", "protocol": {"times": T_UPLOAD, "port": 2}}),
+            (
+                "route",
+                {
+                    "topology": "hex_lattice",
+                    "descriptor": {
+                        "vertices": _brick_wall(3, 3)[0],
+                        "links": _brick_wall(3, 3)[1],
+                        "uploads": ["r0c0", "r1c2"],
+                    },
+                    "protocol": {
+                        "times": [T_UPLOAD, T_HOP],
+                        "path": ["r0c0", "r1c0", "r1c1", "r1c2"],
+                    },
+                },
+            ),
+        ],
+    )
+    def test_no_eigendecomposition_wider_than_a_block(
+        self, tmp_path, capsys, monkeypatch, command, cfg
+    ):
+        import numpy as np
+
+        widths = []
+        original = np.linalg.eigh
+
+        def recorded(m):
+            widths.append(np.shape(m)[-1])
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        path = write_config(tmp_path, "c.json", {**cfg, "params": PARAMS})
+        code, _, _ = run_main(capsys, [command, "--config", path, "--samples", "3", "--strict"])
+        assert code == 0
+        assert widths and max(widths) <= 6

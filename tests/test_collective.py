@@ -43,10 +43,36 @@ class TestOrthogonalTransform:
         with pytest.raises(ValueError):
             OrthogonalTransform(matrix=np.eye(2), labels=("x", "y"), groups=(("g", (0,)),))
 
+    def test_empty_group_is_refused(self):
+        groups = (("g", (0, 1)), ("empty", ()))
+        with pytest.raises(ValueError, match="partition"):
+            OrthogonalTransform(matrix=np.eye(2), labels=("x", "y"), groups=groups)
+
     def test_round_trip(self):
         t = chain_collective_basis(2)
         v = np.arange(t.dim, dtype=float)
         assert np.allclose(t.from_collective(t.to_collective(v)), v, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: chain_collective_basis(4),
+            switch_collective_basis,
+            lambda: lattice_collective_basis(TWO_VERTEX),
+            lambda: OrthogonalTransform(np.eye(3)[::-1], ("x", "y", "z"), (("g", (0, 1, 2)),)),
+        ],
+    )
+    def test_products_use_the_nonzeros_of_the_matrix(self, make):
+        t = make()
+        rng = np.random.default_rng(3)
+        vec = rng.normal(size=t.dim) + 1j * rng.normal(size=t.dim)
+        samples = rng.normal(size=(t.dim, 5))
+        assert np.abs(t.to_collective(vec) - t.matrix @ vec).max() <= 1e-15
+        assert np.abs(t.from_collective(vec) - t.matrix.T @ vec).max() <= 1e-15
+        assert np.abs(t.to_collective(samples) - t.matrix @ samples).max() <= 1e-15
+        modes = np.array([t.dim - 1, 0])
+        picked = t.from_collective(samples, modes)
+        assert np.abs(picked - (t.matrix.T @ samples)[modes]).max() <= 1e-15
 
 
 class TestChainBasis:

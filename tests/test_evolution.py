@@ -76,6 +76,42 @@ class TestEigendecompose:
         block = extract_block(RESONANT, "end")
         assert eigendecompose(block).dim == 4
 
+    def test_stack_matches_each_matrix(self):
+        mats = np.stack([extract_block(params, "mid").matrix for params in (RESONANT, DISPERSIVE)])
+        stacked = eigendecompose(mats)
+        assert stacked.eigenvectors.shape == (2, 6, 6) and stacked.dim == 6
+        for k, m in enumerate(mats):
+            single = eigendecompose(m)
+            assert np.array_equal(stacked.eigenvalues[k], single.eigenvalues)
+            assert np.array_equal(stacked.eigenvectors[k], single.eigenvectors)
+
+    def test_rejects_a_stack_with_one_non_symmetric_matrix(self):
+        mats = np.stack([np.eye(3), np.eye(3)])
+        mats[1, 0, 2] = 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            eigendecompose(mats)
+
+    def test_rejects_deeper_stacks(self):
+        with pytest.raises(ValueError, match="square"):
+            eigendecompose(np.zeros((2, 2, 3, 3)))
+
+
+def test_evolve_on_a_stack_matches_each_matrix():
+    mats = np.stack([extract_block(params, "hop").matrix for params in (RESONANT, DISPERSIVE)])
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+    times = np.linspace(0.0, 3.0, 11)
+    spectra = eigendecompose(mats)
+    stacked = evolution._evolve(spectra, amps, evolution._phases(spectra, times))
+    assert stacked.shape == (2, 6, 11)
+    for k in range(2):
+        single = eigendecompose(mats[k])
+        alone = evolution._evolve(single, amps[k], evolution._phases(single, times))
+        assert np.abs(alone - stacked[k]).max() <= 1e-13
+        # the dispersive block reaches |H| t ~ 3e3, where expm itself keeps about 1e-12
+        expected = expm(-1j * mats[k] * times[:, None, None]) @ amps[k]  # (times, modes)
+        assert np.abs(stacked[k] - expected.T).max() <= 1e-10
+
 
 class TestPropagate:
     def test_t_zero_is_identity(self):

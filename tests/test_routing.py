@@ -11,6 +11,8 @@ from cavity_route import (
     Evolve,
     ExcitationState,
     HexLatticeDescriptor,
+    NetworkSpec,
+    OrthogonalTransform,
     PhaseFlip,
     PhaseShift,
     Schedule,
@@ -21,17 +23,21 @@ from cavity_route import (
     build_single_excitation_hamiltonian,
     build_switch,
     cavity_index,
+    chain_collective_basis,
     chain_routing_schedule,
     entanglement_transfer,
     extract_block,
     find_transfer_time,
     hex_routing_schedule,
+    lattice_collective_basis,
     local_phase_flip,
     photon_population,
     run_schedule,
+    switch_collective_basis,
     switch_port_flip,
     switch_schedule,
 )
+from cavity_route import routing
 from cavity_route.routing import NORM_TOLERANCE
 
 TWO_VERTEX = HexLatticeDescriptor(
@@ -384,13 +390,30 @@ BRICK_WALLS = {
         (("r0c0", 1, "r0c1", 2), ("r0c0", 3, "r1c0", 3), ("r1c0", 1, "r1c1", 2)),
         ("r0c0", "r0c1", "r1c0", "r1c1"),
     ),
+    "2x3": HexLatticeDescriptor(
+        ("r0c0", "r0c1", "r0c2", "r1c0", "r1c1", "r1c2"),
+        (
+            ("r0c0", 1, "r0c1", 2),
+            ("r0c1", 1, "r0c2", 2),
+            ("r1c0", 1, "r1c1", 2),
+            ("r1c1", 1, "r1c2", 2),
+            ("r0c0", 3, "r1c0", 3),
+            ("r0c2", 3, "r1c2", 3),
+        ),
+        ("r0c0", "r1c1"),
+    ),
 }
-BRICK_ROUTES = {"1x2": ["r0c0", "r0c1"], "2x2": ["r0c1", "r0c0", "r1c0", "r1c1"]}
+BRICK_ROUTES = {
+    "1x2": ["r0c0", "r0c1"],
+    "2x2": ["r0c1", "r0c0", "r1c0", "r1c1"],
+    "2x3": ["r0c0", "r0c1", "r0c2", "r1c2", "r1c1"],
+}
 
 
 @st.composite
-def networks_and_schedules(draw):
-    """A small network, a builder schedule or random steps, and an initial state."""
+def networks_and_schedules(draw, max_units=4, walls=("1x2", "2x2"), vacuum=False):
+    """A small network with its collective basis, a builder schedule or random steps,
+    and an initial state (with a vacuum part whenever ``vacuum`` is set)."""
     params = SystemParams(
         omega_c=draw(st.floats(-5.0, 5.0)),
         delta=draw(st.floats(-40.0, 40.0)),
@@ -399,16 +422,18 @@ def networks_and_schedules(draw):
     )
     # expm's cost grows with |H| t: these keep the whole test near a second
     times = st.floats(0.01, 1.0)
-    kind = draw(st.sampled_from(["chain", "switch", "1x2", "2x2"]))
+    kind = draw(st.sampled_from(["chain", "switch", *walls]))
     if kind == "chain":
-        n = draw(st.integers(1, 4))
-        spec = build_diamond_chain(n, params)
+        n = draw(st.integers(1, max_units))
+        spec, basis = build_diamond_chain(n, params), chain_collective_basis(n)
         built = chain_routing_schedule(n, draw(times), draw(times))
     elif kind == "switch":
-        spec, built = build_switch(params), switch_schedule(draw(st.integers(1, 3)), draw(times))
+        spec, basis = build_switch(params), switch_collective_basis()
+        built = switch_schedule(draw(st.integers(1, 3)), draw(times))
     else:
-        spec = build_hex_lattice(BRICK_WALLS[kind], params)
-        built = hex_routing_schedule(BRICK_WALLS[kind], BRICK_ROUTES[kind], draw(times), draw(times))
+        desc = BRICK_WALLS[kind]
+        spec, basis = build_hex_lattice(desc, params), lattice_collective_basis(desc)
+        built = hex_routing_schedule(desc, BRICK_ROUTES[kind], draw(times), draw(times))
     sites = st.integers(0, spec.num_sites - 1)
     step = st.one_of(
         st.builds(Evolve, st.floats(0.0, 1.0)),
@@ -421,12 +446,12 @@ def networks_and_schedules(draw):
     kinds = st.sampled_from(["atom", "cavity"])
     schedule = Schedule(tuple(steps), (draw(sites), draw(kinds)), (draw(sites), draw(kinds)))
     initial = None
-    if draw(st.booleans()):  # a random normalised state with a vacuum part
+    if vacuum or draw(st.booleans()):  # a random normalised state with a vacuum part
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         amps = np.array([1.0, 1j]) @ rng.normal(size=(2, spec.dim + 1))
         amps /= np.linalg.norm(amps)
         initial = ExcitationState(amps=amps[1:], vac=amps[0])
-    return spec, schedule, initial, draw(st.integers(2, 5))
+    return spec, schedule, initial, draw(st.integers(2, 5)), basis
 
 
 def _expm_fold(spec, schedule, initial: ExcitationState) -> np.ndarray:
@@ -449,15 +474,81 @@ def _expm_fold(spec, schedule, initial: ExcitationState) -> np.ndarray:
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(case=networks_and_schedules())
 def test_run_schedule_matches_the_expm_fold(case):
-    spec, schedule, initial, samples = case
-    trace = run_schedule(spec, schedule, initial=initial, samples_per_window=samples)
+    spec, schedule, initial, samples, basis = case
     if initial is None:  # run_schedule starts from the source mode
         site, kind = schedule.source
         row = (atom_index if kind == "atom" else cavity_index)(site)
         initial = ExcitationState.excitation(spec.dim, row)
     expected = _expm_fold(spec, schedule, initial)
-    assert np.abs(trace.final_state.amps - expected).max() <= 1e-10
-    assert trace.final_state.vac == initial.vac
-    assert np.abs(trace.norms - math.sqrt(initial.norm_sq)).max() <= NORM_TOLERANCE
-    # the same cavity rows, summed in another order
-    assert trace.photon[-1] == pytest.approx(photon_population(trace.final_state), abs=1e-15)
+    for given_basis in (None, basis):  # one block, then the topology's blocks
+        trace = run_schedule(
+            spec, schedule, initial=initial, samples_per_window=samples, basis=given_basis
+        )
+        assert np.abs(trace.final_state.amps - expected).max() <= 1e-10
+        assert trace.final_state.vac == initial.vac
+        assert np.abs(trace.norms - math.sqrt(initial.norm_sq)).max() <= NORM_TOLERANCE
+        # the same cavity rows, summed in another order
+        assert trace.photon[-1] == pytest.approx(photon_population(trace.final_state), abs=1e-15)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=networks_and_schedules(max_units=6, walls=("1x2", "2x2", "2x3"), vacuum=True))
+def test_block_path_matches_the_one_block_path(case):
+    spec, schedule, initial, samples, basis = case
+    blocked = run_schedule(spec, schedule, initial, samples, basis=basis)
+    dense = run_schedule(spec, schedule, initial, samples)
+    assert np.abs(blocked.final_state.amps - dense.final_state.amps).max() <= 1e-10
+    assert blocked.final_state.vac == dense.final_state.vac
+    for name in ("times", "photon", "populations", "norms"):
+        assert np.abs(getattr(blocked, name) - getattr(dense, name)).max() <= 1e-10, name
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """Calls of the window kernel made by ``run_schedule``."""
+    calls = []
+    original = routing._evolve
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(routing, "_evolve", counted)
+    return calls
+
+
+class TestRunScheduleRefusals:
+    def test_basis_that_does_not_block_diagonalize_the_network(self, windows):
+        # unit 1's -j edge (ids 2 -> 3) flipped to +j leaves a residual of sqrt(2) j
+        spec = build_diamond_chain(3, RESONANT)
+        edges = [(k, l, 1) if (k, l) == (2, 3) else (k, l, s) for k, l, s in spec.edges]
+        broken = NetworkSpec(spec.sites, edges, spec.params)
+        schedule = chain_routing_schedule(3, T_END, T_MID)
+        with pytest.raises(ValueError, match=r"residual 1\.414e\+00"):
+            run_schedule(broken, schedule, basis=chain_collective_basis(3))
+        assert windows == []
+        # the one-block path has no residual to refuse
+        assert run_schedule(broken, schedule, samples_per_window=2).num_samples == 5
+
+    def test_basis_row_mixing_cavity_and_atom_modes(self, windows):
+        spec = build_diamond_chain(1, RESONANT)  # 8 modes
+        q = np.eye(spec.dim)
+        q[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # cavity and atom of site 0
+        basis = OrthogonalTransform(q, tuple("abcdefgh"), (("all", tuple(range(8))),))
+        with pytest.raises(ValueError, match="basis row 'a' mixes cavity and atom modes"):
+            run_schedule(spec, chain_routing_schedule(1, T_END, T_MID), basis=basis)
+        assert windows == []
+
+    def test_basis_of_another_network(self, windows):
+        spec, schedule = build_diamond_chain(3, RESONANT), chain_routing_schedule(3, T_END, T_MID)
+        with pytest.raises(ValueError, match="does not match"):
+            run_schedule(spec, schedule, basis=chain_collective_basis(2))
+        assert windows == []
+
+    @pytest.mark.parametrize("step", [PhaseFlip((1, 4)), PhaseShift(4, 0.5)])
+    def test_step_site_outside_the_network(self, windows, step):
+        spec = build_diamond_chain(1, RESONANT)  # sites 0-3
+        schedule = Schedule((Evolve(0.1), step, Evolve(0.1)), (0, "atom"), (3, "atom"))
+        with pytest.raises(ValueError, match=r"atom site must be an integer in \[0, 3\], got 4"):
+            run_schedule(spec, schedule)
+        assert windows == []
