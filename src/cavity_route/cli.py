@@ -46,7 +46,6 @@ import json
 import sys
 from dataclasses import replace
 from functools import cache
-from math import isqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -61,6 +60,7 @@ from .collective import (
     switch_collective_basis,
 )
 from .evolution import (
+    _as_matrix,
     _window,
     auto_grid_points,
     eigendecompose,
@@ -91,6 +91,7 @@ from .routing import (
 __all__ = ["main", "emit_trace_csv", "ConfigError"]
 
 _ANALYTIC_THRESHOLD = 1e-9
+_SAMPLES = 241  # samples per window when neither --samples nor the config gives them
 _FIDELITY_FLOOR = 0.99
 _LEAKAGE_CEILING = 1e-6
 
@@ -145,6 +146,8 @@ def _find_peak(h, source: int, target: int, args, cfg: dict, params: SystemParam
     """Transfer peak over the configured window, on the configured or auto grid."""
     window = _search_window(args, cfg, params)  # checked before h is decomposed, as a given grid
     grid = _lookup(args.grid, cfg, "grid")
+    for name, mode in (("source", source), ("target", target)):  # so are the modes
+        _count(mode, name, 0, _as_matrix(h).shape[0] - 1)
     if grid is None:  # one decomposition sizes the grid and runs the search
         h = eigendecompose(h)
         grid = auto_grid_points(h, window)
@@ -154,7 +157,7 @@ def _find_peak(h, source: int, target: int, args, cfg: dict, params: SystemParam
 def _output(args, cfg: dict) -> tuple[int, str | None]:
     """Samples per window and trace path: the flag, else the ``output`` section."""
     output = _section(cfg, "output")
-    samples = args.samples if args.samples is not None else output.get("samples_per_window", 241)
+    samples = output.get("samples_per_window", _SAMPLES) if args.samples is None else args.samples
     path = args.out if args.out is not None else output.get("path")
     if not (path is None or isinstance(path, str)):
         raise ConfigError(f"output 'path' must be a string, got {path!r}")
@@ -169,8 +172,8 @@ def _require_topology(cfg: dict, *allowed: str) -> str:
 
 
 def _chain_size(cfg: dict) -> int:
-    # bounded so that the dense (6n + 2)-mode Hamiltonian fits the array budget
-    return _count(cfg.get("n"), "diamond_chain 'n'", 1, (isqrt(ARRAY_BUDGET) - 2) // 6)
+    # bounded so that a chain run's largest array, one window of _SAMPLES x (6n + 2), fits
+    return _count(cfg.get("n"), "diamond_chain 'n'", 1, (ARRAY_BUDGET // _SAMPLES - 2) // 6)
 
 
 def _descriptor(cfg: dict) -> HexLatticeDescriptor:
@@ -203,9 +206,9 @@ def emit_trace_csv(
     if trace.num_samples == 0:
         raise ValueError("refusing to write an empty trace")
     row = ",".join(["%.12g"] * (2 + len(trace.labels)) + ["%.12f"])
-    columns = [trace.times, trace.photon, trace.populations, trace.norms]
+    body = np.column_stack([trace.times, trace.photon, trace.populations, trace.norms])
     lines = ["t,F," + ",".join(trace.labels) + ",norm"]
-    lines.extend(row % tuple(values) for values in np.column_stack(columns).tolist())
+    lines.append("\n".join([row] * body.shape[0]) % tuple(body.ravel().tolist()))  # one % for all
     lines.extend(extra_comments)
     lines.append(f"# t_star={trace.total_time:.12g} fidelity={fidelity:.12g} phase={phase:.12g}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -227,7 +230,7 @@ def _cmd_blocks(args) -> int:
     cfg = _load_config(args.config)
     params = _config_params(cfg)
     spec, transform = _network_and_basis(cfg, params)
-    h = build_single_excitation_hamiltonian(spec)
+    h = build_single_excitation_hamiltonian(spec, entries=True)
     blocks, residual = block_decompose(h, transform)
     _check_finite(residual=residual, blocks=np.concatenate([b.matrix.ravel() for b in blocks]))
     if args.out:  # written before the report, so a failed write prints nothing
@@ -240,8 +243,8 @@ def _cmd_blocks(args) -> int:
             fh.write("\n".join(lines) + "\n")
     shown = "<=1e-12" if residual <= 1e-12 else f"{residual:.3e}"
     print(f"blocks: {','.join(str(b.dim) for b in blocks)} residual: {shown}")
-    if args.strict and not (_residual_bound(h) >= residual):
-        print(f"strict: residual {residual:.3e} above {_residual_bound(h):.3e}", file=sys.stderr)
+    if args.strict and not (_residual_bound(h[2]) >= residual):
+        print(f"strict: residual {residual:.3e} above {_residual_bound(h[2]):.3e}", file=sys.stderr)
         return 1
     return 0
 
@@ -324,8 +327,9 @@ def _run_switch(cfg: dict, proto: dict, params: SystemParams, times, samples: in
 
 def _run_route(cfg: dict, proto: dict, params: SystemParams, times, samples: int):
     """route along a lattice vertex path"""
-    schedule = hex_routing_schedule(_descriptor(cfg), proto.get("path"), *times)
-    spec, basis = _network_and_basis(cfg, params)
+    desc = _descriptor(cfg)  # one descriptor object, so its layout is built once
+    schedule = hex_routing_schedule(desc, proto.get("path"), *times)
+    spec, basis = build_hex_lattice(desc, params), lattice_collective_basis(desc)
     trace = run_schedule(spec, schedule, samples_per_window=samples, basis=basis)
     return trace, _trace_fields(trace)
 

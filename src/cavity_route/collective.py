@@ -2,8 +2,9 @@
 
 The engineered coupling signs make certain symmetric/antisymmetric (chain)
 and Hadamard-weighted (switch, lattice) combinations of site modes evolve
-independently.  This module builds the orthogonal change of basis explicitly
-and verifies that the transformed Hamiltonian is block diagonal.
+independently.  This module builds the orthogonal change of basis from its
+nonzeros and sums the blocks of the transformed Hamiltonian, and the
+off-block residual, from the nonzeros of both, with no ``dim x dim`` array.
 """
 
 from __future__ import annotations
@@ -38,18 +39,34 @@ __all__ = [
 ]
 
 
-def _residual_bound(h: np.ndarray) -> float:
-    """``1e-12 max(1, max |h|)``: the largest ``block_decompose`` residual that is rounding."""
-    return 1e-12 * max(1.0, float(np.abs(h).max()))
+def _residual_bound(values: np.ndarray) -> float:
+    """``1e-12 max(1, max |H|)`` from H or its entries: the largest residual that is rounding."""
+    return 1e-12 * max(1.0, float(np.abs(values).max(initial=0.0)))
 
 
-def _padded(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``m``: indices and values of its nonzeros ``m[rows, cols]``, zero-padded."""
+def _nonzeros(m, dim: int, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``m`` as ``(rows, cols, values)``: it is such a triple, or a dense ``dim x dim`` array."""
+    if isinstance(m, tuple):
+        rows, cols, values = (np.asarray(part) for part in m)
+        ok = rows.shape == cols.shape == values.shape == (rows.size,)
+        ids = np.concatenate([rows, cols]) if ok else rows
+        if not (ok and ids.dtype.kind == "i" and np.all((0 <= ids) & (ids < dim))):
+            raise ValueError(f"{what} entries must be integer rows and cols in [0, {dim - 1}]")
+        return rows.astype(np.intp), cols.astype(np.intp), values.astype(float)
+    m = np.asarray(m, dtype=float)
+    if m.shape != (dim, dim):
+        raise ValueError(f"{what} shape {m.shape} does not match dim {dim}")
+    rows, cols = np.nonzero(m)
+    return rows, cols, m[rows, cols]
+
+
+def _padded(dim: int, rows, cols, values) -> tuple[np.ndarray, np.ndarray]:
+    """Per row ``i < dim``: its ``cols`` and ``values``, zero-padded; ``rows`` is sorted."""
     slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # place inside its row
-    index = np.zeros((m.shape[0], int(slot.max(initial=0)) + 1), dtype=np.intp)
-    values = np.zeros(index.shape)
-    index[rows, slot], values[rows, slot] = cols, m[rows, cols]
-    return index, values
+    index = np.zeros((dim, int(slot.max(initial=0)) + 1), dtype=np.intp)
+    padded = np.zeros(index.shape)
+    index[rows, slot], padded[rows, slot] = cols, values
+    return index, padded
 
 
 def _sparse_product(view: tuple[np.ndarray, np.ndarray], vec) -> np.ndarray:
@@ -60,42 +77,55 @@ def _sparse_product(view: tuple[np.ndarray, np.ndarray], vec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrthogonalTransform:
-    """Orthogonal change of basis with named rows grouped into blocks.
+    """Orthogonal change of basis ``Q`` with named rows grouped into blocks.
 
-    ``matrix`` has one orthonormal row per collective mode (every row holds
-    at most four nonzero entries, each ``+-1/2``, ``+-1/sqrt(2)`` or ``1``);
-    ``groups`` partitions the row indices into the invariant subspaces.  The
-    products with a vector use only the nonzeros, read once from ``matrix``.
+    ``entries`` are the nonzeros ``(rows, cols, values)`` of ``Q``, one orthonormal row per
+    label (a dense square ``Q`` is read through its nonzeros; repeated elements add up).  A
+    collective basis has at most four per row, each ``+-1/2``, ``+-1/sqrt(2)`` or ``1``.
+    ``groups`` partitions the rows into the invariant subspaces.  Everything but ``matrix``,
+    the dense ``Q`` built on request, uses only the nonzeros.
     """
 
-    matrix: np.ndarray
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     labels: tuple[str, ...]
     groups: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", q)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("transform matrix must be square")
-        if len(self.labels) != q.shape[0]:
-            raise ValueError("one label per row required")
-        covered = sorted(i for _, idx in self.groups for i in idx)
-        if covered != list(range(q.shape[0])) or not all(idx for _, idx in self.groups):
+        dim = len(self.labels)
+        rows, cols, values = _nonzeros(self.entries, dim, "transform")
+        order = np.lexsort((cols, rows))  # row by row, each row by column
+        rows, cols, values = rows[order], cols[order], values[order]
+        object.__setattr__(self, "entries", (rows, cols, values))
+        sizes = np.array([len(idx) for _, idx in self.groups], dtype=np.intp)
+        members = [i for _, idx in self.groups for i in idx]
+        if not (dim and sizes.all() and sorted(members) == list(range(dim))):
             raise ValueError("groups must partition all rows exactly once")
+        # per row: its group, its place in it, and where its row of the group's block starts
+        owner, slot = np.empty((2, dim), dtype=np.intp)
+        owner[members] = np.repeat(np.arange(sizes.size), sizes)
+        slot[members] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        ends = np.cumsum(sizes * sizes)  # of each block, with the blocks laid end to end
+        base = ends[owner] - sizes[owner] * (sizes[owner] - slot)
+        object.__setattr__(self, "_layout", (owner, slot, base, ends.tolist()))
         # the nonzeros of the rows of Q and of Q^T, for every product with a vector
-        rows, cols = np.divmod(np.flatnonzero(q.ravel() != 0.0), q.shape[0])  # sorted by row
-        by_col = np.lexsort((rows, cols))
-        object.__setattr__(self, "_rows", _padded(q, rows, cols))
-        object.__setattr__(self, "_columns", _padded(q.T, cols[by_col], rows[by_col]))
+        object.__setattr__(self, "_rows", _padded(dim, rows, cols, values))
+        by_col = np.argsort(cols, kind="stable")  # each column in row order
+        columns = _padded(dim, cols[by_col], rows[by_col], values[by_col])
+        object.__setattr__(self, "_columns", columns)
         # one fixed probe through the nonzeros costs O(dim); a dense Q Q^T would cost O(dim^3)
-        probe = np.sin(np.arange(1.0, q.shape[0] + 1.0))  # no entry vanishes; no numpy.random
+        probe = np.sin(np.arange(1.0, dim + 1.0))  # no entry vanishes; no numpy.random
         round_trip = self.from_collective(self.to_collective(probe))
         if not np.abs(round_trip - probe).max(initial=0.0) <= 1e-10:
             raise ValueError("transform rows must be orthonormal")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.labels)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense ``Q``, built on each request."""
+        return self.from_collective(np.eye(self.dim)).T
 
     def to_collective(self, vec: np.ndarray) -> np.ndarray:
         """Coordinates of a site-basis vector in the collective basis."""
@@ -149,22 +179,17 @@ def _hadamard_modes(label: str, inner, port: int) -> Modes:
     return _modes(label, {site: sign / 2.0 for site, sign in zip(inner, HADAMARD_SIGNS[port])})
 
 
-def _transform(dim: int, groups: list[tuple[str, Modes]]) -> OrthogonalTransform:
-    """Dense transform of ``groups``, each ``(name, [(label, {mode: coef}), ...])``.
+def _transform(groups: list[tuple[str, Modes]]) -> OrthogonalTransform:
+    """Transform of ``groups``, each ``(name, [(label, {mode: coef}), ...])``.
 
     Rows are numbered in group order, then mode order inside each group.
     """
-    if dim * dim > ARRAY_BUDGET:
-        raise ValueError(f"a {dim}-mode transform exceeds the budget of {ARRAY_BUDGET} elements")
     modes = [mode for _, members in groups for mode in members]
-    rows = [row for row, (_, coefs) in enumerate(modes) for _ in coefs]
-    cols = [col for _, coefs in modes for col in coefs]
-    vals = [val for _, coefs in modes for val in coefs.values()]
-    q = np.zeros((dim, dim))
-    q[rows, cols] = vals
+    triples = [(r, col, val) for r, (_, coefs) in enumerate(modes) for col, val in coefs.items()]
+    entries = tuple(np.array(part) for part in zip(*triples))  # rows, cols, values
     ends = accumulate(len(members) for _, members in groups)
     index = tuple((name, tuple(range(end - len(m), end))) for (name, m), end in zip(groups, ends))
-    return OrthogonalTransform(q, tuple(label for label, _ in modes), index)
+    return OrthogonalTransform(entries, tuple(label for label, _ in modes), index)
 
 
 def chain_collective_basis(n: int) -> OrthogonalTransform:
@@ -186,7 +211,7 @@ def chain_collective_basis(n: int) -> OrthogonalTransform:
     groups = [("block1", vertex[0] + plus[1])]
     groups += [(f"block{k + 1}", minus[k] + vertex[k] + plus[k + 1]) for k in range(1, n)]
     groups.append((f"block{n + 1}", minus[n] + vertex[n]))
-    return _transform(2 * (3 * n + 1), groups)
+    return _transform(groups)
 
 
 def switch_collective_basis() -> OrthogonalTransform:
@@ -203,7 +228,7 @@ def switch_collective_basis() -> OrthogonalTransform:
         (f"port{i}", _modes(f"nu{i}.{{}}", {i: 1.0}) + _hadamard_modes(f"xi{i}.{{}}", inner, i))
         for i in range(4)
     ]
-    return _transform(16, groups)
+    return _transform(groups)
 
 
 def lattice_collective_basis(desc: HexLatticeDescriptor) -> OrthogonalTransform:
@@ -240,34 +265,38 @@ def lattice_collective_basis(desc: HexLatticeDescriptor) -> OrthogonalTransform:
         for port in (1, 2, 3)
         if (v, port) not in linked
     ]
-    return _transform(2 * len(layout.sites), groups)
+    return _transform(groups)
 
 
-def block_decompose(
-    h: np.ndarray, transform: OrthogonalTransform
-) -> tuple[list[BlockHamiltonian], float]:
-    """Transform ``h`` and slice it along ``transform.groups``.
+def block_decompose(h, transform: OrthogonalTransform) -> tuple[list[BlockHamiltonian], float]:
+    """The blocks of ``Q H Q^T`` along ``transform.groups``, and the off-block residual.
 
-    Returns the list of blocks and the off-block residual
-    ``max |element outside every block|``; an exact invariant-subspace
-    structure gives a residual at rounding level.
+    ``h`` is the nonzeros ``(rows, cols, values)`` of H, or a dense H read through them.
+    Element ``(r, s)`` sums ``Q[r, c] H[c, k] Q[s, k]`` over the entries of H and the rows of Q
+    holding ``c`` and ``k``: ``O(nnz)`` terms.  The residual is the largest ``|element|`` outside
+    every block.  Blocks or terms above ``ARRAY_BUDGET`` elements raise ``ValueError``.
     """
-    h = np.asarray(h, dtype=float)
-    q = transform.matrix
-    if h.shape != (transform.dim, transform.dim):
-        raise ValueError(
-            f"hamiltonian shape {h.shape} does not match transform dim {transform.dim}"
-        )
-    hc = q @ h @ q.T
-    blocks: list[BlockHamiltonian] = []
-    owner = np.empty(transform.dim, dtype=np.intp)  # group of each row
-    for group, (name, idx) in enumerate(transform.groups):
-        rows = np.array(idx, dtype=np.intp)
-        owner[rows] = group
-        labels = tuple(transform.labels[i] for i in idx)
-        blocks.append(BlockHamiltonian(matrix=hc[rows[:, None], rows], labels=labels, name=name))
-    residual = float(np.abs(hc[owner[:, None] != owner]).max(initial=0.0))
-    return blocks, residual
+    dim = transform.dim
+    rows, cols, values = _nonzeros(h, dim, "hamiltonian")
+    owner, slot, base, ends = transform._layout
+    index, coefs = transform._columns  # per mode: the rows of Q that hold it
+    if max(ends[-1], rows.size * coefs.shape[1] ** 2) > ARRAY_BUDGET:
+        raise ValueError(f"a {dim}-mode block decomposition exceeds the budget of {ARRAY_BUDGET}")
+    left, right = coefs[rows], coefs[cols]
+    e, i, j = np.nonzero((left != 0.0)[:, :, None] & (right != 0.0)[:, None, :])
+    terms = left[e, i] * values[e] * right[e, j]
+    r, s = index[rows[e], i], index[cols[e], j]
+    inside = owner[r] == owner[s]
+    flat = np.bincount(base[r[inside]] + slot[s[inside]], terms[inside], minlength=ends[-1])
+    blocks = []
+    for (name, idx), end in zip(transform.groups, ends):
+        matrix = flat[end - len(idx) ** 2 : end].reshape(len(idx), -1)
+        blocks.append(BlockHamiltonian(matrix, tuple(transform.labels[k] for k in idx), name))
+    outside = ~inside
+    if not outside.any():  # no off-block element to sum, and nothing to sort
+        return blocks, 0.0
+    _, element = np.unique(r[outside] * dim + s[outside], return_inverse=True)
+    return blocks, float(np.abs(np.bincount(element, terms[outside])).max())
 
 
 def _cell_row(params: SystemParams, kappa: float, cells: int) -> np.ndarray:

@@ -153,10 +153,14 @@ def _phases(spectrum: Spectrum, times) -> np.ndarray:
     return np.exp(-1j * (spectrum.eigenvalues[..., None] * np.asarray(times)))
 
 
-def _evolve(spectrum: Spectrum, amps: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """``V exp(-i L t) V^T amps`` from ``_phases(spectrum, times)``: one column per time."""
+def _evolve(spectrum: Spectrum, amps: np.ndarray, phases: np.ndarray, out=(None, None)):
+    """``V exp(-i L t) V^T amps`` from ``_phases(spectrum, times)``: one column per time.
+
+    ``out`` may hold two arrays shaped like ``phases`` for the two products.
+    """
     v = spectrum.eigenvectors
-    return v @ (phases * (np.swapaxes(v, -1, -2) @ amps[..., None]))
+    weighted = np.multiply(phases, np.swapaxes(v, -1, -2) @ amps[..., None], out=out[0])
+    return np.matmul(v, weighted, out=out[1])
 
 
 def propagate(spectrum: Spectrum, state: ExcitationState, t: float) -> ExcitationState:

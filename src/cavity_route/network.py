@@ -63,9 +63,9 @@ HADAMARD_SIGNS = (
 
 SITE_ROLES = ("vertex", "control", "port", "upload", "plain")
 
-#: Most elements any one array may hold, checked before allocating: a dense
-#: Hamiltonian (``dim x dim``), a scan grid, or one evolution window (``dim x
-#: samples``).  2**24 float64 are 128 MB; the dispersive scan (~772k) is < 5%.
+#: Most elements any one array may hold, checked before allocating: a scan grid,
+#: one evolution window (``dim x samples``), or a dense Hamiltonian (``dim x
+#: dim``).  2**24 float64 are 128 MB; the dispersive scan (~772k) is < 5%.
 ARRAY_BUDGET = 2**24
 
 #: Types that ``_count`` and ``_real`` accept; bool, an int subclass, is refused by identity.
@@ -445,8 +445,11 @@ def hex_lattice_layout(desc: HexLatticeDescriptor) -> HexLayout:
     (vertex, port) order, with each shared link site created at its first
     encounter.  Every vertex always exposes a full set of four ports: ports
     not claimed by a link or an upload get a dangling port site, so the
-    Hadamard coupling pattern at each vertex is complete.
+    Hadamard coupling pattern at each vertex is complete.  The layout is
+    built once per descriptor object and kept on it; it is not to be mutated.
     """
+    if "_layout" in vars(desc):
+        return desc._layout
     inner: dict[str, tuple[int, int, int, int]] = {}
     for v_pos, v in enumerate(desc.vertices):
         inner[v] = tuple(4 * v_pos + i for i in range(4))  # type: ignore[assignment]
@@ -494,7 +497,9 @@ def hex_lattice_layout(desc: HexLatticeDescriptor) -> HexLayout:
         for i in range(4)
         for port in range(4)
     )
-    return HexLayout(inner=inner, occupant=occupant, sites=tuple(sites), edges=edges)
+    layout = HexLayout(inner=inner, occupant=occupant, sites=tuple(sites), edges=edges)
+    object.__setattr__(desc, "_layout", layout)  # on the frozen descriptor, not a field
+    return layout
 
 
 def build_hex_lattice(
@@ -522,28 +527,28 @@ def build_hex_lattice(
     return NetworkSpec(sites=layout.sites, edges=layout.edges, params=params or SystemParams())
 
 
-def build_single_excitation_hamiltonian(spec: NetworkSpec) -> np.ndarray:
+def build_single_excitation_hamiltonian(spec: NetworkSpec, entries: bool = False):
     """Real symmetric Hamiltonian of ``spec`` in the single-excitation sector.
 
-    Returns
-    -------
-    numpy.ndarray
-        ``(2M, 2M)`` float64 matrix.  Diagonal: ``omega_c`` on cavity rows,
-        ``omega_c - delta`` on atom rows.  Off-diagonal: ``g`` between each
-        site's cavity and atom, ``sign * j`` between edge cavities.  A matrix
-        above ``ARRAY_BUDGET`` elements raises ``ValueError``.
+    ``omega_c`` on cavity rows, ``omega_c - delta`` on atom rows, ``g`` between each site's
+    cavity and atom, ``sign * j`` between edge cavities.  Returns the ``(2M, 2M)`` float64
+    matrix, refused above ``ARRAY_BUDGET`` elements; with ``entries=True``, its nonzeros
+    ``(rows, cols, values)`` instead, each element once, in ``O(M + edges)`` work and memory.
     """
-    p = spec.params
+    if not isinstance(entries, bool):
+        raise ValueError(f"entries must be a bool, got {entries!r}")
+    p, sites = spec.params, np.arange(spec.num_sites)
+    k, l, sign = np.array(spec.edges, dtype=np.intp).reshape(-1, 3).T
+    c, a, ck, cl = cavity_index(sites), atom_index(sites), cavity_index(k), cavity_index(l)
+    rows = np.concatenate([c, a, c, a, ck, cl])
+    cols = np.concatenate([c, a, a, c, cl, ck])
+    on_site = np.repeat([p.omega_c, p.omega_a, p.g, p.g], spec.num_sites)
+    values = np.concatenate([on_site, sign * p.j, sign * p.j])
+    if entries:
+        return rows, cols, values
     dim = spec.dim
     if dim * dim > ARRAY_BUDGET:
         raise ValueError(f"a {dim}-mode Hamiltonian exceeds the budget of {ARRAY_BUDGET} elements")
     h = np.zeros((dim, dim))
-    for site in spec.sites:
-        c, a = cavity_index(site.id), atom_index(site.id)
-        h[c, c] = p.omega_c
-        h[a, a] = p.omega_a
-        h[c, a] = h[a, c] = p.g
-    for k, l, sign in spec.edges:
-        c_k, c_l = cavity_index(k), cavity_index(l)
-        h[c_k, c_l] = h[c_l, c_k] = sign * p.j
+    h[rows, cols] = values
     return h

@@ -10,7 +10,7 @@ computes the phase-compensated Bell fidelity from the transfer amplitude.
 
 ``run_schedule`` evolves inside the invariant blocks of a collective basis, with one
 eigendecomposition per block size; each flip is one round trip through the basis.
-Without a basis the whole network is one block: the dense reference.
+Without a basis the whole network is one block.
 """
 
 from __future__ import annotations
@@ -296,9 +296,10 @@ def run_schedule(
 ) -> TraceResult:
     """Execute a schedule inside the blocks of ``basis``, e.g. ``chain_collective_basis(n)``.
 
-    ``None`` makes the whole network one block (the dense reference).  A basis whose
-    off-block residual exceeds ``1e-12 max(1, max |H|)`` (it would give wrong dynamics),
-    or with a row mixing cavity and atom modes, raises ``ValueError`` before any window.
+    The blocks come from the nonzeros of H and the basis (``block_decompose``); ``None``
+    makes the whole network one block.  A basis of another size, one whose off-block residual
+    exceeds ``1e-12 max(1, max |H|)`` (it would give wrong dynamics), or one with a row mixing
+    cavity and atom modes raises ``ValueError`` before any window.
 
     Populations are sampled on ``samples_per_window`` equally spaced points
     per evolution window (window edges included; the duplicate sample at a
@@ -331,11 +332,13 @@ def run_schedule(
     modes = [_count(row, f"track row of {label!r}", 0, spec.dim - 1) for label, row in track]
     modes = np.array(modes, dtype=int)  # an index array even when empty
 
-    h = build_single_excitation_hamiltonian(spec)
+    h = build_single_excitation_hamiltonian(spec, entries=True)
     if basis is None:  # every mode is its own collective mode, all in one block
-        basis = _transform(spec.dim, [("network", [(str(m), {m: 1.0}) for m in range(spec.dim)])])
+        basis = _transform([("network", [(str(m), {m: 1.0}) for m in range(spec.dim)])])
+    if basis.dim != spec.dim:
+        raise ValueError(f"basis dim {basis.dim} does not match network dim {spec.dim}")
     blocks, residual = block_decompose(h, basis)
-    if not residual <= _residual_bound(h):
+    if not residual <= _residual_bound(h[2]):
         raise ValueError(f"basis does not block-diagonalize the network: residual {residual:.3e}")
     index, values = basis._rows
     kind = np.where(values != 0.0, index % 2, index[:, :1] % 2)  # cavity modes are even
@@ -357,6 +360,9 @@ def run_schedule(
     keep = slice(None)  # the first window keeps its t = 0 sample
     phases: dict = {}  # each stack's phases at the sample times, per window duration
     norm0 = np.sqrt(initial.norm_sq)
+    # collective rows, and each stack's products: buffers for every window, not paged in anew
+    evolved = np.empty((spec.dim, samples_per_window), dtype=complex)
+    work = [np.empty((2, *rows.shape, samples_per_window), complex) for rows, _ in stacks]
     for step in schedule.steps:
         if not isinstance(step, Evolve):
             amps = basis.from_collective(x)
@@ -367,9 +373,8 @@ def run_schedule(
         if step.duration not in phases:  # two kept: builder schedules repeat at most two
             phases = {} if len(phases) == 2 else phases
             phases[step.duration] = [_phases(spectrum, taus) for _, spectrum in stacks]
-        evolved = np.empty((spec.dim, samples_per_window), dtype=complex)  # collective rows
-        for (rows, spectrum), p in zip(stacks, phases[step.duration]):
-            evolved[rows] = _evolve(spectrum, x[rows], p)
+        for (rows, spectrum), p, out in zip(stacks, phases[step.duration], work):
+            evolved[rows] = _evolve(spectrum, x[rows], p, out)
         pops = np.abs(evolved[:, keep]) ** 2
         times.append(t_offset + taus[keep])
         photon.append(pops[cavity_rows].sum(axis=0))
@@ -379,7 +384,7 @@ def run_schedule(
         if not drift <= NORM_TOLERANCE:
             what = f"norm drift {drift:.3e}" if np.isfinite(drift) else "non-finite norm"
             raise FloatingPointError(f"{what} in evolution window {len(norms)}")
-        x = evolved[:, -1]
+        x = evolved[:, -1].copy()
         t_offset += step.duration
         keep = slice(1, None)
 

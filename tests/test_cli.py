@@ -92,8 +92,27 @@ class TestBlocks:
         # the bound is 1e-12 max(1, max |H|), here g = 65
         assert err == "strict: residual 1.414e+00 above 6.500e-11\n"
 
-    def test_strict_residual_is_relative_to_the_largest_entry(self, tmp_path, capsys):
-        # |H| reaches 1e6: a residual of 4e-11 is rounding, 4e-17 of the largest entry
+    def test_strict_residual_is_relative_to_the_largest_entry(self, tmp_path, capsys, monkeypatch):
+        import numpy as np
+
+        from cavity_route import OrthogonalTransform, cli
+
+        original = cli.chain_collective_basis
+
+        def rounding_basis(n):
+            # each +/- control pair takes cos(pi/4) and sin(pi/4), which differ by one ulp, so
+            # c+ and c- meet with omega_c (cos^2 - sin^2), about 1e-10 at omega_c = 1e6
+            basis = original(n)
+            rows, cols, values = basis.entries
+            paired = np.abs(values) < 1.0
+            first = np.r_[True, rows[1:] != rows[:-1]]  # the first entry of its row
+            tilted = np.where(first, np.cos(np.pi / 4), np.sign(values) * np.sin(np.pi / 4))
+            return OrthogonalTransform(
+                (rows, cols, np.where(paired, tilted, values)), basis.labels, basis.groups
+            )
+
+        monkeypatch.setattr(cli, "chain_collective_basis", rounding_basis)
+        # |H| reaches 1e6: a residual of 1e-10 is rounding, 1e-16 of the largest entry
         params = {"omega_c": 1e6, "delta": -1e5, "g": 65.0, "j": 1.0}
         chain = {"topology": "diamond_chain", "n": 30, "params": params}
         cfg = write_config(tmp_path, "c.json", chain)
@@ -146,6 +165,8 @@ class TestTransferTime:
             ("window", [0.0, 1.0, 2.0], []),
             ("window", None, ["--tmax", "-1"]),
             ("window", None, ["--grid", "2"]),
+            ("window", None, ["--target", "99"]),
+            ("window", None, ["--source", "-1"]),
         ],
     )
     def test_custom_network_refused_before_decomposition(
@@ -728,3 +749,47 @@ class TestBlockNativeProtocols:
         code, _, _ = run_main(capsys, [command, "--config", path, "--samples", "3", "--strict"])
         assert code == 0
         assert widths and max(widths) <= 6
+
+    def test_chain_of_a_thousand_units(self, tmp_path, capsys):
+        # 6002 modes: no dense 6002 x 6002 array is needed on the way
+        cfg = {"topology": "diamond_chain", "n": 1000, "protocol": {"times": [T1, T2]}}
+        path = write_config(tmp_path, "c.json", {**cfg, "params": PARAMS})
+        code, out, err = run_main(capsys, ["simulate", "--config", path, "--samples", "2"])
+        assert (code, err) == (0, "")
+        fields = dict(kv.split("=") for kv in out.split())
+        assert 0.0 < float(fields["fidelity"]) <= 1.0
+
+    def test_chain_above_the_cap_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        from cavity_route import cli
+        from cavity_route.network import ARRAY_BUDGET
+
+        built = []
+        monkeypatch.setattr(cli, "build_diamond_chain", lambda *a: built.append(a))
+        # one window of 241 samples over the 6n + 2 modes must fit the array budget
+        n = (ARRAY_BUDGET // 241 - 2) // 6 + 1
+        assert 241 * (6 * n + 2) > ARRAY_BUDGET >= 241 * (6 * n - 4)
+        cfg = {"topology": "diamond_chain", "n": n, "protocol": {"times": [T1, T2]}}
+        for command, flags in (("simulate", ["--samples", "2"]), ("blocks", [])):
+            path = write_config(tmp_path, "c.json", {**cfg, "params": PARAMS})
+            code, out, err = run_main(capsys, [command, "--config", path, *flags])
+            assert (code, out) == (2, "")
+            expected = "diamond_chain 'n' must be an integer in"
+            assert err == f"config error: {expected} [1, {n - 1}], got {n}\n"
+        assert built == []
+
+    def test_route_lays_out_the_lattice_once(self, tmp_path, capsys, monkeypatch):
+        from cavity_route import network
+
+        layouts = []
+        original = network.HexLayout
+        monkeypatch.setattr(network, "HexLayout", lambda **k: layouts.append(k) or original(**k))
+        vertices, links = _brick_wall(3, 3)
+        cfg = {
+            "topology": "hex_lattice",
+            "descriptor": {"vertices": vertices, "links": links, "uploads": ["r0c0", "r1c2"]},
+            "protocol": {"times": [T_UPLOAD, T_HOP], "path": ["r0c0", "r1c0", "r1c1", "r1c2"]},
+        }
+        path = write_config(tmp_path, "c.json", {**cfg, "params": PARAMS})
+        code, _, _ = run_main(capsys, ["route", "--config", path, "--samples", "3"])
+        assert code == 0
+        assert len(layouts) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from cavity_route import (
     DISPERSIVE,
     RESONANT,
     HexLatticeDescriptor,
+    NetworkSpec,
     OrthogonalTransform,
+    Site,
     SystemParams,
     block_decompose,
     build_diamond_chain,
@@ -19,9 +22,11 @@ from cavity_route import (
     chain_collective_basis,
     extract_block,
     lattice_collective_basis,
+    run_schedule,
     switch_collective_basis,
 )
-from cavity_route.network import ARRAY_BUDGET
+from cavity_route.evolution import ExcitationState, eigendecompose, propagate
+from cavity_route.routing import Evolve, Schedule
 
 TWO_VERTEX = HexLatticeDescriptor(
     vertices=("a", "b"), links=(("a", 1, "b", 1),), uploads=("a", "b")
@@ -37,16 +42,44 @@ class TestOrthogonalTransform:
     def test_rows_must_be_orthonormal(self):
         m = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            OrthogonalTransform(matrix=m, labels=("x", "y"), groups=(("g", (0, 1)),))
+            OrthogonalTransform(m, labels=("x", "y"), groups=(("g", (0, 1)),))
 
     def test_groups_must_partition_rows(self):
         with pytest.raises(ValueError):
-            OrthogonalTransform(matrix=np.eye(2), labels=("x", "y"), groups=(("g", (0,)),))
+            OrthogonalTransform(np.eye(2), labels=("x", "y"), groups=(("g", (0,)),))
 
     def test_empty_group_is_refused(self):
         groups = (("g", (0, 1)), ("empty", ()))
         with pytest.raises(ValueError, match="partition"):
-            OrthogonalTransform(matrix=np.eye(2), labels=("x", "y"), groups=groups)
+            OrthogonalTransform(np.eye(2), labels=("x", "y"), groups=groups)
+
+    def test_entries_and_the_dense_matrix_give_one_transform(self):
+        dense = chain_collective_basis(3)
+        rows, cols, values = dense.entries
+        assert rows.size == 2 * 4 + 4 * 3 * 2  # vertex modes hold one entry, +/- modes two
+        from_dense = OrthogonalTransform(dense.matrix, dense.labels, dense.groups)
+        assert np.array_equal(from_dense.matrix, dense.matrix)
+        shuffled = np.random.default_rng(5).permutation(rows.size)
+        again = OrthogonalTransform(
+            (rows[shuffled], cols[shuffled], values[shuffled]), dense.labels, dense.groups
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(again.entries, dense.entries))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (np.array([0.0, 1.0]), np.array([0, 1]), np.ones(2)),  # float rows
+            (np.array([0, 2]), np.array([0, 1]), np.ones(2)),  # row outside the two modes
+            (np.array([0, 1]), np.array([0, -1]), np.ones(2)),  # negative column
+            (np.array([0, 1]), np.array([0, 1]), np.ones(3)),  # one value too many
+            (np.array([[0, 1]]), np.array([[0, 1]]), np.ones((1, 2))),  # not 1-d
+        ],
+    )
+    def test_malformed_entries_are_refused(self, entries):
+        with pytest.raises(ValueError, match="entries must be integer rows and cols in"):
+            OrthogonalTransform(entries, ("x", "y"), (("g", (0, 1)),))
+        with pytest.raises(ValueError, match="entries must be integer rows and cols in"):
+            block_decompose(entries, OrthogonalTransform(np.eye(2), ("x", "y"), (("g", (0, 1)),)))
 
     def test_round_trip(self):
         t = chain_collective_basis(2)
@@ -82,11 +115,15 @@ class TestChainBasis:
         assert t.dim == 2 * (3 * n + 1)
         assert np.allclose(t.matrix @ t.matrix.T, np.eye(t.dim), atol=1e-14)
 
-    def test_dense_transform_above_the_array_budget_is_refused(self):
-        # 683 units have 4100 modes: a dense 4100 x 4100 Q holds more than ARRAY_BUDGET elements
-        assert (2 * (3 * 683 + 1)) ** 2 > ARRAY_BUDGET >= (2 * (3 * 682 + 1)) ** 2
-        with pytest.raises(ValueError, match="budget"):
-            chain_collective_basis(683)
+    def test_a_thousand_units_decompose_from_the_nonzeros(self):
+        # 6002 modes: a dense 6002 x 6002 Q or H would hold more than 2**24 elements
+        t = chain_collective_basis(1000)
+        assert t.entries[0].size == 2 * 1001 + 8 * 1000
+        h = build_single_excitation_hamiltonian(build_diamond_chain(1000), entries=True)
+        blocks, residual = block_decompose(h, t)
+        assert [b.dim for b in blocks] == [4] + [6] * 999 + [4]
+        assert residual == 0.0
+        assert np.array_equal(blocks[500].matrix, blocks[1].matrix)
 
     def test_block_sizes_n2(self):
         blocks, residual = _decompose(build_diamond_chain(2), chain_collective_basis(2))
@@ -265,3 +302,100 @@ def test_every_basis_is_orthonormal_and_splits_into_blocks(case):
     assert len(t.labels) == t.dim
     _, residual = _decompose(spec, t)
     assert residual <= 1e-12
+
+
+def _brick_wall(rows, cols):
+    vertices = [f"r{r}c{c}" for r in range(rows) for c in range(cols)]
+    links = [(f"r{r}c{c}", 1, f"r{r}c{c + 1}", 2) for r in range(rows) for c in range(cols - 1)]
+    links += [
+        (f"r{r}c{c}", 3, f"r{r + 1}c{c}", 3)
+        for r in range(rows - 1)
+        for c in range(cols)
+        if (r + c) % 2 == 0
+    ]
+    return vertices, links
+
+
+@st.composite
+def system_params(draw):
+    """Both regimes at the reference couplings, or anything in a wide range."""
+    if draw(st.booleans()):
+        return SystemParams(delta=draw(st.sampled_from([0.0, -1000.0])))
+    return SystemParams(
+        omega_c=draw(st.floats(-1e3, 1e6)),
+        delta=draw(st.floats(-1e4, 1e4)),
+        g=draw(st.floats(0.01, 1e3)),
+        j=draw(st.floats(0.01, 10.0)),
+    )
+
+
+@st.composite
+def chains_and_brick_walls(draw):
+    params = draw(system_params())
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        return build_diamond_chain(n, params), chain_collective_basis(n), "chain"
+    vertices, links = _brick_wall(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    uploads = draw(st.lists(st.sampled_from(vertices), unique=True))
+    desc = HexLatticeDescriptor(vertices, links, uploads)
+    return build_hex_lattice(desc, params), lattice_collective_basis(desc), "lattice"
+
+
+def _dense_decompose(h, t):
+    """The blocks and the off-block residual of the dense product ``Q H Q^T``."""
+    hc = t.matrix @ h @ t.matrix.T
+    owner = np.empty(t.dim, dtype=int)
+    for group, (_, idx) in enumerate(t.groups):
+        owner[list(idx)] = group
+    blocks = [hc[np.ix_(idx, idx)] for _, idx in t.groups]
+    return blocks, float(np.abs(hc[owner[:, None] != owner]).max(initial=0.0))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=chains_and_brick_walls(), flip=st.integers(0, 10**6))
+def test_sparse_blocks_agree_with_the_dense_product(case, flip):
+    spec, t, kind = case
+    h = build_single_excitation_hamiltonian(spec)
+    tolerance = 1e-12 * max(1.0, float(np.abs(h).max()))
+    dense_blocks, dense_residual = _dense_decompose(h, t)
+    # the entries, and a dense H read through its nonzeros
+    for entries in (build_single_excitation_hamiltonian(spec, entries=True), h):
+        blocks, residual = block_decompose(entries, t)
+        assert [(b.name, b.labels) for b in blocks] == [
+            (name, tuple(t.labels[k] for k in idx)) for name, idx in t.groups
+        ]
+        for block, dense in zip(blocks, dense_blocks):
+            assert np.abs(block.matrix - dense).max() <= tolerance
+        assert abs(residual - dense_residual) <= tolerance
+    if spec.edges:  # one flipped sign breaks the invariant subspaces on both paths
+        k, l, sign = spec.edges[flip % len(spec.edges)]
+        edges = tuple((a, b, -s if (a, b) == (k, l) else s) for a, b, s in spec.edges)
+        broken = dataclasses.replace(spec, edges=edges)
+        _, residual = block_decompose(build_single_excitation_hamiltonian(broken, True), t)
+        _, dense_residual = _dense_decompose(build_single_excitation_hamiltonian(broken), t)
+        assert residual > 0.1 * spec.params.j
+        assert abs(residual - dense_residual) <= tolerance
+        if kind == "chain":  # a control pair and a vertex meet with sqrt(2) j across blocks
+            assert residual == pytest.approx(math.sqrt(2.0) * spec.params.j, rel=1e-12)
+
+
+@st.composite
+def custom_networks(draw):
+    m = draw(st.integers(1, 8))
+    pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = tuple((k, l, draw(st.sampled_from([1, -1]))) for k, l in chosen)
+    sites = tuple(Site(id=i, label=f"s{i}") for i in range(m))
+    return NetworkSpec(sites, edges, draw(system_params()))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(spec=custom_networks(), t=st.floats(0.01, 5.0), ends=st.tuples(st.integers(), st.integers()))
+def test_one_block_run_is_the_dense_propagation(spec, t, ends):
+    source, target = (end % spec.num_sites for end in ends)
+    schedule = Schedule((Evolve(t),), (source, "atom"), (target, "cavity"))
+    trace = run_schedule(spec, schedule, samples_per_window=2)
+    spectrum = eigendecompose(build_single_excitation_hamiltonian(spec))
+    expected = propagate(spectrum, ExcitationState.excitation(spec.dim, 2 * source + 1), t)
+    # the same eigenvectors and eigenvalues; exp of a longer time vector may round differently
+    assert np.abs(trace.final_state.amps - expected.amps).max() <= 1e-12

@@ -188,6 +188,36 @@ class TestHamiltonian:
         assert h[4, 6] == -params.j  # the signed hop
         assert h[1, 3] == 0.0  # atoms never couple directly
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            build_diamond_chain(3, SystemParams(omega_c=2.0, delta=-3.0, g=7.0, j=1.5)),
+            build_switch(DISPERSIVE),
+            NetworkSpec((Site(id=0, label="alone"),), (), RESONANT),  # no edges
+        ],
+    )
+    def test_entries_name_every_element_once(self, spec):
+        rows, cols, values = build_single_excitation_hamiltonian(spec, entries=True)
+        # the reference: two on-site terms and one g pair per site, one signed j pair per edge
+        expected = {}
+        for site in spec.sites:
+            c, a = 2 * site.id, 2 * site.id + 1
+            expected.update({(c, c): spec.params.omega_c, (a, a): spec.params.omega_a})
+            expected.update({(c, a): spec.params.g, (a, c): spec.params.g})
+        for k, l, sign in spec.edges:
+            hop = sign * spec.params.j
+            expected.update({(2 * k, 2 * l): hop, (2 * l, 2 * k): hop})
+        assert dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist())) == expected
+        assert rows.size == len(expected)
+        h = np.zeros((spec.dim, spec.dim))
+        h[rows, cols] = values
+        assert np.array_equal(build_single_excitation_hamiltonian(spec), h)
+
+    @pytest.mark.parametrize("entries", [1, None, "yes"])
+    def test_entries_flag_must_be_a_bool(self, entries):
+        with pytest.raises(ValueError, match="entries must be a bool"):
+            build_single_excitation_hamiltonian(build_switch(), entries)
+
     def test_no_cavity_atom_cross_site_terms(self):
         h = build_single_excitation_hamiltonian(build_switch())
         for k in range(8):
