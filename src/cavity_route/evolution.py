@@ -3,13 +3,15 @@
 All Hamiltonians here are small real symmetric matrices, so evolution is done
 through one eigendecomposition per matrix: ``psi(t) = V exp(-i L t) V^T
 psi(0)``.  This is exact up to rounding, unconditionally stable, and lets a
-whole grid of times be evaluated with one decomposition; a uniform grid is one
-product of row-start phases and one shared ladder of offset phases.
+whole grid of times be evaluated with one decomposition; a uniform grid is
+products of row-start phases and one shared ladder of offset phases, taken
+a bounded chunk of rows at a time, so a search never holds its grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,8 +33,9 @@ __all__ = [
     "auto_grid_points",
 ]
 
-#: Points per evaluation chunk at arbitrary times (``_amp_on_grid``, Newton included);
-#: bounds its ``points x dim`` complex intermediate.  The uniform scan needs no chunks.
+#: Points per evaluation chunk, which bounds every per-point temporary: ``_amp_on_grid``
+#: (Newton included) takes ``_CHUNK`` times at once, the uniform scan as many whole
+#: ladder rows as fit in ``_CHUNK`` points, at least one.
 _CHUNK = 65536
 
 #: Refined peaks are kept while scanning if their grid fidelity is within
@@ -188,15 +191,61 @@ def _amp_on_grid(weights: np.ndarray, eigenvalues: np.ndarray, times: np.ndarray
     return out
 
 
-def _amp_on_uniform_grid(
+def _uniform_chunks(
     weights: np.ndarray, eigenvalues: np.ndarray, t_lo: float, step: float, n: int
-) -> np.ndarray:
-    """``_amp_on_grid`` at ``t_lo + i step``, ``i < n``, from ``~2 sqrt(n) dim`` exponentials."""
-    # point i = r m + c has phase lambda (t_lo + r m step) + lambda c step: head r times rung c
-    m = math.isqrt(n) + 1
-    heads = np.exp(np.outer(t_lo + np.arange(-(-n // m)) * (m * step), -1j * eigenvalues))
-    ladder = np.exp(np.outer(-1j * eigenvalues, np.arange(m) * step))
-    return ((heads * weights) @ ladder).ravel()[:n]
+) -> Iterator[np.ndarray]:
+    """``_amp_on_grid`` at ``t_lo + i step``, ``i < n``, in order, some ladder rows at a time."""
+    # point i = r m + c has phase lambda (t_lo + r m step) + lambda c step: head r times rung c,
+    # so the n points cost ~2 sqrt(n) dim exponentials
+    m, phase = math.isqrt(n) + 1, -1j * eigenvalues
+    ladder = np.exp(np.outer(phase, np.arange(m) * step))
+    rows, last = max(1, _CHUNK // m), -(-n // m)
+    for r in range(0, last, rows):
+        heads = np.exp(np.outer(t_lo + np.arange(r, min(r + rows, last)) * (m * step), phase))
+        yield ((heads * weights) @ ladder).ravel()[: n - r * m]
+
+
+def _grid_times(index: np.ndarray, t_lo: float, t_hi: float, n: int) -> np.ndarray:
+    """``np.linspace(t_lo, t_hi, n)[index]``, bitwise, without the grid."""
+    step = (t_hi - t_lo) / (n - 1)
+    # linspace scales by the span where the step underflows to 0
+    offsets = index * step if step else index / (n - 1) * (t_hi - t_lo)
+    return np.where(index == n - 1, t_hi, offsets + t_lo)
+
+
+def _scan_peaks(
+    chunks: Iterator[np.ndarray], n: int, window
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index, F and A of the grid maxima of ``F = |A|^2`` within ``_CANDIDATE_BAND`` of the top.
+
+    ``chunks`` yields the ``n`` amplitudes in order; the last two of a chunk are carried into
+    the next, so every point meets its true neighbours.  A maximum rises strictly on its left
+    and not on its right, so a flat stretch gives one candidate, not all.  Without one, the
+    candidate is the first highest point of ``F[1:-1]``.
+    """
+    top, found, start = -np.inf, [], 0
+    f_end, a_end = np.full(2, np.inf), np.zeros(2, complex)  # +inf: point 0 is no maximum
+    for amp in chunks:
+        f = np.empty(amp.size + 2)  # F at points start - 2 ... start + amp.size - 1
+        f[:2] = f_end
+        np.square(np.abs(amp, out=f[2:]), out=f[2:])
+        if not np.isfinite(f[2:]).all():
+            raise FloatingPointError(f"non-finite transfer fidelity on the scan over {window!r}")
+        hits = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))  # at start - 1 + hits
+        if hits.size:  # kept: those within the band of the top so far
+            top = max(top, float(f[hits + 1].max()))
+            hits = hits[f[hits + 1] >= top - _CANDIDATE_BAND]
+            found.append((hits + start - 1, f[hits + 1], np.where(hits, amp[hits - 1], a_end[1])))
+        if start <= 1 < start + amp.size:
+            first = f[3 - start], amp[1 - start]  # at point 1
+        f_end, a_end = f[-2:].copy(), np.concatenate((a_end, amp[-2:]))[-2:]
+        start += amp.size
+    if not found:  # nothing rises and holds: F[1:-1] falls, then rises strictly to its end
+        index, f_max, a_max = (1, *first) if first[0] >= f_end[0] else (n - 2, f_end[0], a_end[0])
+        return np.array([index]), np.array([f_max]), np.array([a_max])
+    index, f_max, a_max = (np.concatenate(column) for column in zip(*found))
+    keep = f_max >= top - _CANDIDATE_BAND
+    return index[keep], f_max[keep], a_max[keep]
 
 
 def _transition_weights(spectrum: Spectrum, source: int, target: int) -> np.ndarray:
@@ -281,9 +330,10 @@ def find_transfer_time(
 ) -> TransferResult:
     """Locate the transfer peak of ``F(t) = |<target| exp(-i H t) |source>|^2``.
 
-    ``F`` is scanned on a uniform grid over ``window``; every local maximum
-    near the grid top is refined by Newton on ``F'(t) = 0`` inside its grid
-    bracket.  The result is the best refined peak in the first period of the
+    ``F`` is scanned on a uniform grid over ``window``, about ``_CHUNK``
+    points at a time, so no array of grid length is formed; every local
+    maximum near the grid top is refined by Newton on ``F'(t) = 0`` inside its
+    grid bracket.  The result is the best refined peak in the first period of the
     slow transfer envelope, the earliest on an exact tie: later periods
     repeat the same peaks with essentially the same fidelity, so a global
     argmax would jump between them on rounding-level differences.
@@ -298,7 +348,7 @@ def find_transfer_time(
         Search interval ``(lo, hi)``: a list, tuple or array of two finite
         numbers with ``lo < hi``.
     grid_points : int, optional
-        Scan resolution, at most ``ARRAY_BUDGET``; by default
+        Scan resolution, at most ``ARRAY_BUDGET`` points; by default
         ``auto_grid_points`` of the spectrum.  On a grid that resolves the
         fastest Bohr oscillation, ``t_star`` is the stationary point of the
         chosen peak of ``F``, not a grid point.  A coarser grid may miss the
@@ -316,21 +366,15 @@ def find_transfer_time(
     spectrum = _spectrum(h)
     grid_points = grid_points or auto_grid_points(spectrum, window)
     weights = _transition_weights(spectrum, source, target)
-    ts, step = np.linspace(t_lo, t_hi, grid_points, retstep=True)
-    amp = _amp_on_uniform_grid(weights, spectrum.eigenvalues, t_lo, step, grid_points)
-    f = np.abs(amp) ** 2
-    if not np.isfinite(f).all():
-        raise FloatingPointError(f"non-finite transfer fidelity on the scan over {window!r}")
-    # a maximum rises strictly on its left, so a flat stretch gives one candidate, not all
-    interior = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:])) + 1
-    if interior.size == 0:
-        interior = np.array([int(np.argmax(f[1:-1])) + 1])
-    peaks = interior[f[interior] >= float(f[interior].max()) - _CANDIDATE_BAND]
-    t_new = _newton_peaks(weights, spectrum.eigenvalues, ts[peaks], ts[peaks - 1], ts[peaks + 1])
+    step = (t_hi - t_lo) / (grid_points - 1)  # as np.linspace has it
+    chunks = _uniform_chunks(weights, spectrum.eigenvalues, t_lo, step, grid_points)
+    peaks, f_grid, a_grid = _scan_peaks(chunks, grid_points, window)
+    t_grid, lo, hi = _grid_times(peaks + np.array([[0], [-1], [1]]), t_lo, t_hi, grid_points)
+    t_new = _newton_peaks(weights, spectrum.eigenvalues, t_grid, lo, hi)
     a_new = _amp_on_grid(weights, spectrum.eigenvalues, t_new)
     # a peak that Newton did not improve keeps its grid point: never below the scan
-    better = np.abs(a_new) ** 2 >= f[peaks]
-    t_peak, a_peak = np.where(better, t_new, ts[peaks]), np.where(better, a_new, amp[peaks])
+    better = np.abs(a_new) ** 2 >= f_grid
+    t_peak, a_peak = np.where(better, t_new, t_grid), np.where(better, a_new, a_grid)
     f_peak = np.abs(a_peak) ** 2
 
     horizon = t_lo + _envelope_period(weights, spectrum.eigenvalues)

@@ -360,9 +360,12 @@ def run_schedule(
     keep = slice(None)  # the first window keeps its t = 0 sample
     phases: dict = {}  # each stack's phases at the sample times, per window duration
     norm0 = np.sqrt(initial.norm_sq)
-    # collective rows, and each stack's products: buffers for every window, not paged in anew
+    # collective rows, each stack's products and the populations: buffers for every window,
+    # not paged in anew.  A sum down a column does not depend on the other columns, and
+    # take's "raise" mode would write through a temporary (the rows are in range anyway)
     evolved = np.empty((spec.dim, samples_per_window), dtype=complex)
     work = [np.empty((2, *rows.shape, samples_per_window), complex) for rows, _ in stacks]
+    pops, cavity = np.empty(evolved.shape), np.empty((cavity_rows.size, samples_per_window))
     for step in schedule.steps:
         if not isinstance(step, Evolve):
             amps = basis.from_collective(x)
@@ -375,11 +378,11 @@ def run_schedule(
             phases[step.duration] = [_phases(spectrum, taus) for _, spectrum in stacks]
         for (rows, spectrum), p, out in zip(stacks, phases[step.duration], work):
             evolved[rows] = _evolve(spectrum, x[rows], p, out)
-        pops = np.abs(evolved[:, keep]) ** 2
+        np.square(np.abs(evolved, out=pops), out=pops)
         times.append(t_offset + taus[keep])
-        photon.append(pops[cavity_rows].sum(axis=0))
+        photon.append(np.take(pops, cavity_rows, axis=0, out=cavity, mode="clip").sum(axis=0)[keep])
         tracked.append(np.abs(basis.from_collective(evolved[:, keep], modes).T) ** 2)
-        norms.append(np.sqrt(pops.sum(axis=0) + abs(initial.vac) ** 2))
+        norms.append(np.sqrt(pops.sum(axis=0)[keep] + abs(initial.vac) ** 2))
         drift = float(np.abs(norms[-1] - norm0).max())
         if not drift <= NORM_TOLERANCE:
             what = f"norm drift {drift:.3e}" if np.isfinite(drift) else "non-finite norm"

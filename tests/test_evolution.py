@@ -1,6 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -239,10 +242,14 @@ class TestFindTransferTime:
         spec = NetworkSpec(sites=(Site(0, "a"), Site(1, "b")), edges=(), params=DISPERSIVE)
         h = build_single_excitation_hamiltonian(spec)
         window = (0.0, 600.0)
-        r = find_transfer_time(h, 1, 3, window=window, grid_points=auto_grid_points(h, window))
+        n = auto_grid_points(h, window)
+        r = find_transfer_time(h, 1, 3, window=window, grid_points=n)
         assert r.fidelity == 0.0
-        assert window[0] < r.t_star < window[1]
-        assert sizes == [1]
+        assert r.t_star == np.linspace(*window, n)[1]  # the first highest interior point
+        for rows in (1, 2, 3):  # the flat stretch crosses every chunk joint
+            scan_in_rows(monkeypatch, rows)
+            assert find_transfer_time(h, 1, 3, window=window, grid_points=n) == r
+        assert sizes == [1] * 4
 
     def test_spectrum_passes_through(self):
         h = extract_block(DISPERSIVE, "hop")
@@ -340,7 +347,10 @@ class TestUniformScan:
     @given(case=uniform_grids())
     def test_ladder_matches_per_point_phases(self, case):
         weights, eigenvalues, t_lo, step, n = case
-        amp = evolution._amp_on_uniform_grid(weights, eigenvalues, t_lo, step, n)
+        chunks = list(evolution._uniform_chunks(weights, eigenvalues, t_lo, step, n))
+        # whole ladder rows of m = isqrt(n) + 1 points, at most _CHUNK points unless one row is more
+        assert max(chunk.size for chunk in chunks) <= max(evolution._CHUNK, math.isqrt(n) + 1)
+        amp = np.concatenate(chunks)
         assert amp.shape == (n,)
         # both ends, where the ladder's rows start and stop, and a spread in between
         spread = np.linspace(0, n - 1, 3000).astype(int)
@@ -363,6 +373,131 @@ class TestUniformScan:
         assert abs(r.t_star - t_star) <= 1e-12
         assert abs(r.fidelity - fidelity) <= 1e-12
         assert abs(np.angle(np.exp(1j * (r.phase - phase)))) <= 1e-12
+
+
+def one_shot_peaks(amp):
+    """The scan's candidates from the whole grid at once: the reference for the chunked scan."""
+    f = np.abs(amp) ** 2
+    interior = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:])) + 1
+    if interior.size == 0:
+        interior = np.array([int(np.argmax(f[1:-1])) + 1])
+    peaks = interior[f[interior] >= float(f[interior].max()) - evolution._CANDIDATE_BAND]
+    return peaks, f[peaks], amp[peaks]
+
+
+def scan_in_rows(monkeypatch, rows):
+    """Make the uniform scan take ``rows`` ladder rows per chunk; ``_amp_on_grid`` keeps its own."""
+    chunks = evolution._uniform_chunks
+
+    def narrow(weights, eigenvalues, t_lo, step, n):
+        with monkeypatch.context() as patch:
+            patch.setattr(evolution, "_CHUNK", rows * (math.isqrt(n) + 1))
+            yield from chunks(weights, eigenvalues, t_lo, step, n)
+
+    monkeypatch.setattr(evolution, "_uniform_chunks", narrow)
+
+
+def newton_inputs(monkeypatch):
+    """Record the candidates, and their brackets, that the scan hands to Newton."""
+    seen = []
+    newton = evolution._newton_peaks
+
+    def spy(weights, eigenvalues, t, lo, hi):
+        seen.append(np.concatenate([t, lo, hi]).tobytes())
+        return newton(weights, eigenvalues, t, lo, hi)
+
+    monkeypatch.setattr(evolution, "_newton_peaks", spy)
+    return seen
+
+
+@st.composite
+def search_cases(draw):
+    """A block at random params, near resonance or dispersive, and a window in its regime."""
+    g = draw(st.floats(20.0, 100.0))
+    dispersive = draw(st.booleans())
+    delta = g * draw(st.floats(-12.0, -3.0) if dispersive else st.floats(-1.0, 1.0))
+    params = SystemParams(delta=delta, g=g, j=draw(st.floats(0.5, 2.0)))
+    block = draw(st.sampled_from(sorted(SEARCH_PAIRS)))
+    t_lo = draw(st.floats(0.0, 5.0))
+    window = (t_lo, t_lo + draw(st.floats(20.0, 60.0) if dispersive else st.floats(2.0, 10.0)))
+    return extract_block(params, block), SEARCH_PAIRS[block], window
+
+
+class TestStreamingScan:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 0.5, 0.7, 0.9, 1.0, -1.0, 0.9j]), min_size=3),
+        cuts=st.lists(st.integers(1, 4), min_size=1, max_size=40),
+    )
+    def test_chunked_candidates_match_the_whole_grid(self, values, cuts):
+        # few distinct |A|: maxima, flat stretches and ties land on every chunk joint
+        amp = np.array(values, dtype=complex)
+        ends = np.cumsum(cuts)
+        pieces = np.split(amp, ends[ends < amp.size])
+        got = evolution._scan_peaks(iter(pieces), amp.size, (0.0, 1.0))
+        for have, want in zip(got, one_shot_peaks(amp)):
+            assert have.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(case=search_cases())
+    def test_chunk_boundaries_leave_the_search_unchanged(self, case):
+        h, (source, target), window = case
+        spectrum = eigendecompose(h)
+        n = auto_grid_points(spectrum, window)
+        with pytest.MonkeyPatch.context() as patch:
+            seen = newton_inputs(patch)
+            expected = find_transfer_time(spectrum, source, target, window=window, grid_points=n)
+            for rows in (1, 2, 3):
+                scan_in_rows(patch, rows)
+                result = find_transfer_time(spectrum, source, target, window=window, grid_points=n)
+                assert np.array(result).tobytes() == np.array(expected).tobytes()
+        assert seen[1:] == seen[:1] * 3
+
+    @pytest.mark.parametrize("place", [0, -1], ids=["first-of-a-chunk", "last-of-a-chunk"])
+    def test_maximum_on_a_chunk_boundary(self, monkeypatch, place):
+        spectrum = eigendecompose(extract_block(RESONANT, "end"))
+        weights, window = evolution._transition_weights(spectrum, 1, 3), (0.0, 10.0)
+        for n in range(20001, 20401):  # a grid with a candidate at that end of a ladder row
+            step = window[1] / (n - 1)
+            chunks = evolution._uniform_chunks(weights, spectrum.eigenvalues, 0.0, step, n)
+            peaks = evolution._scan_peaks(chunks, n, window)[0]
+            if np.any((peaks - place) % (math.isqrt(n) + 1) == 0):
+                break
+        else:
+            pytest.fail("no grid puts a candidate at that end of a row")
+        seen = newton_inputs(monkeypatch)
+        expected = find_transfer_time(spectrum, 1, 3, window=window, grid_points=n)  # one chunk
+        scan_in_rows(monkeypatch, 1)  # one row per chunk: the candidate is on a joint
+        assert find_transfer_time(spectrum, 1, 3, window=window, grid_points=n) == expected
+        assert seen[1] == seen[0]
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        t_lo=st.floats(-1e300, 1e300),
+        t_hi=st.floats(-1e300, 1e300),
+        n=st.integers(3, 10**6),
+        picks=st.lists(st.floats(0.0, 1.0), max_size=5),
+    )
+    @example(t_lo=0.0, t_hi=1e-320, n=20001, picks=[0.5])  # the step underflows to 0
+    @example(t_lo=-600.0, t_hi=600.0, n=771901, picks=[])
+    def test_grid_times_match_linspace(self, t_lo, t_hi, n, picks):
+        assume(t_hi > t_lo and np.isfinite(t_hi - t_lo))
+        index = np.unique([0, 1, n - 2, n - 1, *(int(p * (n - 1)) for p in picks)])
+        times = evolution._grid_times(index, t_lo, t_hi, n)
+        assert times.tobytes() == np.linspace(t_lo, t_hi, n)[index].tobytes()
+
+    def test_dispersive_search_never_holds_its_grid(self):
+        # the 772k-point grid alone would be 12 MB of amplitudes and 6 MB of |A|^2
+        h = extract_block(DISPERSIVE, "mid")
+        assert auto_grid_points(h, (0.0, 600.0)) > 700_000
+        tracemalloc.start()
+        try:
+            result = find_transfer_time(h, 1, 5, window=(0.0, 600.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == PINNED_AUTO_SEARCHES["dispersive", "mid"]
+        assert peak < 8e6
 
 
 class TestAutoGridPoints:
