@@ -159,11 +159,16 @@ def _phases(spectrum: Spectrum, times) -> np.ndarray:
 def _evolve(spectrum: Spectrum, amps: np.ndarray, phases: np.ndarray, out=(None, None)):
     """``V exp(-i L t) V^T amps`` from ``_phases(spectrum, times)``: one column per time.
 
-    ``out`` may hold two arrays shaped like ``phases`` for the two products.
+    ``out`` may hold two arrays shaped like ``phases``: the weighted phases, and the result,
+    which may be a view whose last axis is contiguous.  ``V`` must be real, as ``eigh`` of a
+    real symmetric matrix gives it: ``V`` then multiplies the real and imaginary parts of the
+    weighted phases as one real GEMM on their float view, half the arithmetic of a complex one.
     """
     v = spectrum.eigenvectors
     weighted = np.multiply(phases, np.swapaxes(v, -1, -2) @ amps[..., None], out=out[0])
-    return np.matmul(v, weighted, out=out[1])
+    result = np.empty_like(weighted) if out[1] is None else out[1]
+    np.matmul(v, weighted.view(float), out=result.view(float))
+    return result
 
 
 def propagate(spectrum: Spectrum, state: ExcitationState, t: float) -> ExcitationState:

@@ -10,7 +10,9 @@ computes the phase-compensated Bell fidelity from the transfer amplitude.
 
 ``run_schedule`` evolves inside the invariant blocks of a collective basis, with one
 eigendecomposition per block size; each flip is one round trip through the basis.
-Without a basis the whole network is one block.
+Without a basis the whole network is one block.  The window holds the collective rows
+block size by block size, so each size's blocks evolve in place in one slice of it, by
+one real GEMM per window.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .collective import OrthogonalTransform, _residual_bound, _transform, block_decompose
+from .collective import (
+    OrthogonalTransform,
+    _residual_bound,
+    _sparse_product,
+    _transform,
+    block_decompose,
+)
 from .evolution import ExcitationState, _evolve, _phases, eigendecompose
 from .network import (
     ARRAY_BUDGET,
@@ -140,10 +148,11 @@ class Schedule:
 
 
 def local_phase_flip(state: ExcitationState, atom_sites) -> ExcitationState:
-    """Flip the sign of the atom amplitude at each listed site."""
+    """Flip the sign of the atom amplitude at each listed site (``PhaseFlip`` checks the sites)."""
+    sites = PhaseFlip(atom_sites).atom_sites
+    _count(max(sites), "atom site", 0, state.dim // 2 - 1)
     amps = state.amps.copy()
-    for site in _listed(atom_sites, "atom_sites"):
-        amps[atom_index(_count(site, "atom site", 0, state.dim // 2 - 1))] *= PhaseFlip.factor
+    amps[atom_index(np.array(sites))] *= PhaseFlip.factor
     return ExcitationState(amps=amps, vac=state.vac)
 
 
@@ -345,43 +354,54 @@ def run_schedule(
     mixed = np.flatnonzero(np.ptp(kind, axis=1))
     if mixed.size:
         raise ValueError(f"basis row {basis.labels[mixed[0]]!r} mixes cavity and atom modes")
-    cavity_rows = np.flatnonzero(kind[:, 0] == 0)
-    stacks = []  # per block size: the collective rows of each block, and their spectra
+    # the window holds the collective rows block size by block size, blocks in group order, so
+    # each size's products go in place into one slice of it.  The window, the weighted phases
+    # and the populations are buffers for every window, not paged in anew
+    evolved = np.empty((spec.dim, samples_per_window), dtype=complex)
+    stacks, order = [], []  # per block size: the spectra, the slice, the two products
     for size in sorted({block.dim for block in blocks}):
         rows = np.array([idx for _, idx in basis.groups if len(idx) == size])
-        stacks.append((rows, eigendecompose(np.stack([b.matrix for b in blocks if b.dim == size]))))
+        layout = slice(len(order), len(order) + rows.size)
+        order += rows.ravel().tolist()
+        product = evolved[layout].reshape(*rows.shape, samples_per_window)
+        spectrum = eigendecompose(np.stack([b.matrix for b in blocks if b.dim == size]))
+        stacks.append((spectrum, layout, (np.empty_like(product), product)))
+    order = np.array(order)
+    # the window row of each collective row (np.argsort would page in 0.3 MB of sort code)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    # A sum down a column does not depend on the other columns, and take's "raise" mode
+    # would write through a temporary (the rows are in range anyway)
+    cavity_rows = inverse[np.flatnonzero(kind[:, 0] == 0)]  # summed in collective row order
+    pops, cavity = np.empty(evolved.shape), np.empty((cavity_rows.size, samples_per_window))
+    columns, coefs = basis._columns
+    tracked_view = (inverse[columns[modes]], coefs[modes])
 
     times: list[np.ndarray] = []
     photon: list[np.ndarray] = []
     tracked: list[np.ndarray] = []
     norms: list[np.ndarray] = []
-    x = basis.to_collective(initial.amps)
+    x = basis.to_collective(initial.amps)[order]
     t_offset = 0.0
     keep = slice(None)  # the first window keeps its t = 0 sample
     phases: dict = {}  # each stack's phases at the sample times, per window duration
     norm0 = np.sqrt(initial.norm_sq)
-    # collective rows, each stack's products and the populations: buffers for every window,
-    # not paged in anew.  A sum down a column does not depend on the other columns, and
-    # take's "raise" mode would write through a temporary (the rows are in range anyway)
-    evolved = np.empty((spec.dim, samples_per_window), dtype=complex)
-    work = [np.empty((2, *rows.shape, samples_per_window), complex) for rows, _ in stacks]
-    pops, cavity = np.empty(evolved.shape), np.empty((cavity_rows.size, samples_per_window))
     for step in schedule.steps:
         if not isinstance(step, Evolve):
-            amps = basis.from_collective(x)
+            amps = basis.from_collective(x[inverse])
             amps[atom_rows[step]] *= step.factor
-            x = basis.to_collective(amps)
+            x = basis.to_collective(amps)[order]
             continue
         taus = np.linspace(0.0, step.duration, samples_per_window)
         if step.duration not in phases:  # two kept: builder schedules repeat at most two
             phases = {} if len(phases) == 2 else phases
-            phases[step.duration] = [_phases(spectrum, taus) for _, spectrum in stacks]
-        for (rows, spectrum), p, out in zip(stacks, phases[step.duration], work):
-            evolved[rows] = _evolve(spectrum, x[rows], p, out)
+            phases[step.duration] = [_phases(spectrum, taus) for spectrum, _, _ in stacks]
+        for (spectrum, layout, out), p in zip(stacks, phases[step.duration]):
+            _evolve(spectrum, x[layout].reshape(spectrum.eigenvalues.shape), p, out)
         np.square(np.abs(evolved, out=pops), out=pops)
         times.append(t_offset + taus[keep])
         photon.append(np.take(pops, cavity_rows, axis=0, out=cavity, mode="clip").sum(axis=0)[keep])
-        tracked.append(np.abs(basis.from_collective(evolved[:, keep], modes).T) ** 2)
+        tracked.append(np.abs(_sparse_product(tracked_view, evolved[:, keep]).T) ** 2)
         norms.append(np.sqrt(pops.sum(axis=0)[keep] + abs(initial.vac) ** 2))
         drift = float(np.abs(norms[-1] - norm0).max())
         if not drift <= NORM_TOLERANCE:
@@ -391,7 +411,7 @@ def run_schedule(
         t_offset += step.duration
         keep = slice(1, None)
 
-    state = ExcitationState(amps=basis.from_collective(x), vac=initial.vac)
+    state = ExcitationState(amps=basis.from_collective(x[inverse]), vac=initial.vac)
     return TraceResult(
         times=np.concatenate(times),
         photon=np.concatenate(photon),

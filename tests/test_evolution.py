@@ -116,6 +116,31 @@ def test_evolve_on_a_stack_matches_each_matrix():
         assert np.abs(stacked[k] - expected.T).max() <= 1e-10
 
 
+@pytest.mark.parametrize("shape", [(1, 4, 1), (3, 6, 7), (40, 6, 241), (12, 1)])
+def test_evolve_writes_the_complex_product_into_a_slice(shape):
+    # the stacks of run_schedule and the (dim, 1) column of propagate; the real GEMM on the
+    # float view must give the complex product of the real V, written into a view of a buffer
+    rng = np.random.default_rng(sum(shape))
+    *stack, size, samples = shape
+    m = rng.normal(size=(*stack, size, size))
+    spectrum = eigendecompose(m + np.swapaxes(m, -1, -2))
+    amps = rng.normal(size=(*stack, size)) + 1j * rng.normal(size=(*stack, size))
+    phases = evolution._phases(spectrum, rng.uniform(0.0, 5.0, samples))
+    buffer = np.full((3 + amps.size + 2, samples), np.nan, dtype=complex)
+    window = buffer[3:-2].reshape(phases.shape)
+    weighted = np.empty_like(phases)
+    result = evolution._evolve(spectrum, amps, phases, (weighted, window))
+    assert result is window
+    assert np.isnan(buffer[:3]).all() and np.isnan(buffer[-2:]).all()
+    v = spectrum.eigenvectors
+    assert np.array_equal(weighted, phases * (np.swapaxes(v, -1, -2) @ amps[..., None]))
+    expected = v.astype(complex) @ weighted
+    scale = size * np.abs(weighted).max()
+    assert np.abs(result - expected).max() <= 4 * np.finfo(float).eps * scale
+    # without buffers the same values come back
+    assert np.array_equal(evolution._evolve(spectrum, amps, phases), result)
+
+
 class TestPropagate:
     def test_t_zero_is_identity(self):
         h = extract_block(RESONANT, "end")

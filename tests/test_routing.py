@@ -161,6 +161,17 @@ class TestLocalPhaseFlip:
         with pytest.raises(ValueError):
             local_phase_flip(state, (5,))
 
+    @pytest.mark.parametrize(
+        "sites, message", [((1, 1), "duplicate site"), ((), "at least one site")]
+    )
+    def test_refuses_what_a_phase_flip_refuses(self, sites, message):
+        # a repeated site would flip back to the start, and no site would flip nothing
+        state = ExcitationState.excitation(8, 0)
+        with pytest.raises(ValueError, match=message):
+            PhaseFlip(sites)
+        with pytest.raises(ValueError, match=message):
+            local_phase_flip(state, sites)
+
 
 class TestSwitchScheduling:
     def test_port_flip_sites_match_sign_differences(self):
@@ -413,7 +424,9 @@ BRICK_ROUTES = {
 @st.composite
 def networks_and_schedules(draw, max_units=4, walls=("1x2", "2x2"), vacuum=False):
     """A small network with its collective basis, a builder schedule or random steps,
-    and an initial state (with a vacuum part whenever ``vacuum`` is set)."""
+    an initial state (with a vacuum part whenever ``vacuum`` is set), and the basis with its
+    groups, and the rows of each, in a drawn order (block sizes interleave, rows leave row
+    order)."""
     params = SystemParams(
         omega_c=draw(st.floats(-5.0, 5.0)),
         delta=draw(st.floats(-40.0, 40.0)),
@@ -451,7 +464,10 @@ def networks_and_schedules(draw, max_units=4, walls=("1x2", "2x2"), vacuum=False
         amps = np.array([1.0, 1j]) @ rng.normal(size=(2, spec.dim + 1))
         amps /= np.linalg.norm(amps)
         initial = ExcitationState(amps=amps[1:], vac=amps[0])
-    return spec, schedule, initial, draw(st.integers(2, 5)), basis
+    groups = tuple((name, tuple(draw(st.permutations(idx)))) for name, idx in basis.groups)
+    groups = tuple(draw(st.permutations(groups)))
+    shuffled = OrthogonalTransform(basis.entries, basis.labels, groups)
+    return spec, schedule, initial, draw(st.integers(2, 5)), basis, shuffled
 
 
 def _expm_fold(spec, schedule, initial: ExcitationState) -> np.ndarray:
@@ -474,33 +490,39 @@ def _expm_fold(spec, schedule, initial: ExcitationState) -> np.ndarray:
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(case=networks_and_schedules())
 def test_run_schedule_matches_the_expm_fold(case):
-    spec, schedule, initial, samples, basis = case
+    spec, schedule, initial, samples, basis, shuffled = case
     if initial is None:  # run_schedule starts from the source mode
         site, kind = schedule.source
         row = (atom_index if kind == "atom" else cavity_index)(site)
         initial = ExcitationState.excitation(spec.dim, row)
     expected = _expm_fold(spec, schedule, initial)
-    for given_basis in (None, basis):  # one block, then the topology's blocks
-        trace = run_schedule(
-            spec, schedule, initial=initial, samples_per_window=samples, basis=given_basis
-        )
+    # one block, the topology's blocks, and those blocks in a drawn order
+    bases = (None, basis, shuffled)
+    traces = [run_schedule(spec, schedule, initial, samples, basis=b) for b in bases]
+    for trace in traces:
         assert np.abs(trace.final_state.amps - expected).max() <= 1e-10
         assert trace.final_state.vac == initial.vac
         assert np.abs(trace.norms - math.sqrt(initial.norm_sq)).max() <= NORM_TOLERANCE
         # the same cavity rows, summed in another order
         assert trace.photon[-1] == pytest.approx(photon_population(trace.final_state), abs=1e-15)
+    # reordering the blocks may change only the order of the norm's sum
+    builder, reordered = traces[1:]
+    assert np.abs(reordered.final_state.amps - builder.final_state.amps).max() <= 1e-12
+    for name in ("times", "photon", "populations", "norms"):
+        assert np.abs(getattr(reordered, name) - getattr(builder, name)).max() <= 1e-12, name
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(case=networks_and_schedules(max_units=6, walls=("1x2", "2x2", "2x3"), vacuum=True))
 def test_block_path_matches_the_one_block_path(case):
-    spec, schedule, initial, samples, basis = case
-    blocked = run_schedule(spec, schedule, initial, samples, basis=basis)
+    spec, schedule, initial, samples, basis, shuffled = case
     dense = run_schedule(spec, schedule, initial, samples)
-    assert np.abs(blocked.final_state.amps - dense.final_state.amps).max() <= 1e-10
-    assert blocked.final_state.vac == dense.final_state.vac
-    for name in ("times", "photon", "populations", "norms"):
-        assert np.abs(getattr(blocked, name) - getattr(dense, name)).max() <= 1e-10, name
+    for given_basis in (basis, shuffled):
+        blocked = run_schedule(spec, schedule, initial, samples, basis=given_basis)
+        assert np.abs(blocked.final_state.amps - dense.final_state.amps).max() <= 1e-10
+        assert blocked.final_state.vac == dense.final_state.vac
+        for name in ("times", "photon", "populations", "norms"):
+            assert np.abs(getattr(blocked, name) - getattr(dense, name)).max() <= 1e-10, name
 
 
 @pytest.fixture
@@ -515,6 +537,22 @@ def windows(monkeypatch):
 
     monkeypatch.setattr(routing, "_evolve", counted)
     return calls
+
+
+@pytest.mark.parametrize(
+    "spec, basis, sizes",
+    [
+        (build_diamond_chain(3, RESONANT), chain_collective_basis(3), (4, 6)),
+        (build_diamond_chain(3, RESONANT), None, (20,)),  # one block of all 20 modes
+        (build_switch(RESONANT), switch_collective_basis(), (4,)),
+    ],
+)
+def test_a_run_calls_the_kernel_once_per_block_size_per_window(windows, spec, basis, sizes):
+    # the refusals below assert no call at all, which only means something if a run makes them
+    steps = (Evolve(0.3), PhaseFlip((1,)), Evolve(0.2), Evolve(0.1))
+    schedule = Schedule(steps, (0, "atom"), (1, "atom"))
+    run_schedule(spec, schedule, samples_per_window=3, basis=basis)
+    assert [spectrum.dim for spectrum, *_ in windows] == list(sizes) * 3
 
 
 class TestRunScheduleRefusals:
