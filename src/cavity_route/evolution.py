@@ -5,11 +5,14 @@ through one eigendecomposition per matrix: ``psi(t) = V exp(-i L t) V^T
 psi(0)``.  This is exact up to rounding, unconditionally stable, and lets a
 whole grid of times be evaluated with one decomposition; a uniform grid is
 products of row-start phases and one shared ladder of offset phases, taken
-a bounded chunk of rows at a time, so a search never holds its grid.
+a bounded chunk of rows at a time, so a search never holds its grid, and a
+row whose bound on the fidelity cannot reach the candidates is skipped.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -196,18 +199,48 @@ def _amp_on_grid(weights: np.ndarray, eigenvalues: np.ndarray, times: np.ndarray
     return out
 
 
-def _uniform_chunks(
+def _uniform_rows(
     weights: np.ndarray, eigenvalues: np.ndarray, t_lo: float, step: float, n: int
-) -> Iterator[np.ndarray]:
-    """``_amp_on_grid`` at ``t_lo + i step``, ``i < n``, in order, some ladder rows at a time."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+    """The grid ``t_lo + i step``, ``i < n``, as ladder rows ``heads[r] @ ladder`` (cut at point
+    ``n``), and a ``bound`` that no ``F`` of row ``r`` exceeds: one per row, or one for all."""
     # point i = r m + c has phase lambda (t_lo + r m step) + lambda c step: head r times rung c,
     # so the n points cost ~2 sqrt(n) dim exponentials
     m, phase = math.isqrt(n) + 1, -1j * eigenvalues
+    heads = np.exp(np.outer(t_lo + np.arange(-(-n // m)) * (m * step), phase)) * weights
     ladder = np.exp(np.outer(phase, np.arange(m) * step))
-    rows, last = max(1, _CHUNK // m), -(-n // m)
-    for r in range(0, last, rows):
-        heads = np.exp(np.outer(t_lo + np.arange(r, min(r + rows, last)) * (m * step), phase))
-        yield ((heads * weights) @ ladder).ravel()[: n - r * m]
+    # |A| <= |row head sum| + sum |w_k| min(2, |lambda_k - center| (m - 1) step) and <= sum |w|,
+    # center the |w|-weighted median (the mean falls between dispersive clusters); the heads are
+    # the scan's own, so the slack covers only rounding; plain floats beat numpy on a few values.
+    span, size, lam = (m - 1) * step, np.abs(weights).tolist(), eigenvalues.tolist()
+    total = sum(size)
+    center = lam[bisect.bisect_left(list(itertools.accumulate(size)), total / 2)]  # eigh sorts lam
+    reach = sum(w * min(2.0, abs(x - center) * span) for w, x in zip(size, lam))
+    slack = 8 * np.finfo(float).eps * total * (len(lam) + 4 + max(map(abs, lam)) * span)
+    if reach >= total:  # one bound for all rows: none can be skipped
+        return heads, ladder, (total + slack) ** 2
+    return heads, ladder, np.square(np.minimum(abs(heads.sum(1)) + reach, total) + slack)
+
+
+def _rows_to_scan(heads, ladder, bound, n: int) -> list:
+    """Runs ``(first, stop)`` of the rows whose ``bound`` reaches the band below a grid maximum."""
+    if isinstance(bound, float) or not bound.min() < bound.max() - _CANDIDATE_BAND:
+        return [(0, heads.shape[0])]
+    near = max(0, int(np.argmax(abs(heads.sum(1)))) - 1)  # the largest head sum and neighbours
+    seed_rows = [(near, min(near + 3, bound.size))]
+    f = np.abs(np.concatenate([a for _, a in _uniform_chunks(heads, ladder, n, seed_rows)])) ** 2
+    seed = f[1:-1][(f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:])].max(initial=-np.inf)  # as _scan_peaks
+    keep = np.convolve(~(bound < seed - _CANDIDATE_BAND), [1, 1, 1])[1:-1] > 0  # and neighbours
+    return np.flatnonzero(np.diff(keep, prepend=False, append=False)).reshape(-1, 2).tolist()
+
+
+def _uniform_chunks(heads, ladder, n: int, runs) -> Iterator[tuple[int, np.ndarray]]:
+    """``(start, amplitudes)`` of the rows in the ascending ``(first, stop)`` ``runs``, as many
+    whole rows of a run at a time as fit in ``_CHUNK`` points, at least one."""
+    m, per = ladder.shape[1], max(1, _CHUNK // ladder.shape[1])
+    for first, stop in runs:
+        for r in range(first, stop, per):
+            yield r * m, (heads[r : min(r + per, stop)] @ ladder).ravel()[: n - r * m]
 
 
 def _grid_times(index: np.ndarray, t_lo: float, t_hi: float, n: int) -> np.ndarray:
@@ -219,18 +252,19 @@ def _grid_times(index: np.ndarray, t_lo: float, t_hi: float, n: int) -> np.ndarr
 
 
 def _scan_peaks(
-    chunks: Iterator[np.ndarray], n: int, window
+    chunks: Iterator[tuple[int, np.ndarray]], n: int, window
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index, F and A of the grid maxima of ``F = |A|^2`` within ``_CANDIDATE_BAND`` of the top.
 
-    ``chunks`` yields the ``n`` amplitudes in order; the last two of a chunk are carried into
-    the next, so every point meets its true neighbours.  A maximum rises strictly on its left
-    and not on its right, so a flat stretch gives one candidate, not all.  Without one, the
-    candidate is the first highest point of ``F[1:-1]``.
+    ``chunks`` yields ``(start, amplitudes)`` in order; the last two of a chunk are carried into
+    the next of its run of points, so every point meets its true neighbours.  A maximum rises
+    strictly on its left and not on its right, so a flat stretch gives one candidate, not all.
+    Without one, the candidate is the first highest point of ``F[1:-1]`` (all points scanned).
     """
-    top, found, start = -np.inf, [], 0
-    f_end, a_end = np.full(2, np.inf), np.zeros(2, complex)  # +inf: point 0 is no maximum
-    for amp in chunks:
+    top, found, stop = -np.inf, [], None
+    for start, amp in chunks:
+        if start != stop:  # a run begins: +inf carried in, so its first point is no maximum
+            f_end, a_end = np.full(2, np.inf), np.zeros(2, complex)
         f = np.empty(amp.size + 2)  # F at points start - 2 ... start + amp.size - 1
         f[:2] = f_end
         np.square(np.abs(amp, out=f[2:]), out=f[2:])
@@ -241,10 +275,10 @@ def _scan_peaks(
             top = max(top, float(f[hits + 1].max()))
             hits = hits[f[hits + 1] >= top - _CANDIDATE_BAND]
             found.append((hits + start - 1, f[hits + 1], np.where(hits, amp[hits - 1], a_end[1])))
-        if start <= 1 < start + amp.size:
+        stop = start + amp.size
+        if start <= 1 < stop:
             first = f[3 - start], amp[1 - start]  # at point 1
         f_end, a_end = f[-2:].copy(), np.concatenate((a_end, amp[-2:]))[-2:]
-        start += amp.size
     if not found:  # nothing rises and holds: F[1:-1] falls, then rises strictly to its end
         index, f_max, a_max = (1, *first) if first[0] >= f_end[0] else (n - 2, f_end[0], a_end[0])
         return np.array([index]), np.array([f_max]), np.array([a_max])
@@ -299,13 +333,13 @@ def _newton_peaks(
 
 
 def _window(window) -> tuple[float, float]:
-    """``window``, a list, tuple or array of two finite numbers, as floats ``lo < hi``."""
+    """``window``, a list, tuple or array of two finite numbers, as floats ``0 <= lo < hi``."""
     bounds = window.tolist() if isinstance(window, np.ndarray) else window
     if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
         raise ValueError(f"search window must be a (lo, hi) pair, got {window!r}")
     t_lo, t_hi = (_real(bound, "window bound") for bound in bounds)
-    if not t_hi > t_lo:
-        raise ValueError(f"empty search window {window!r}")
+    if not t_hi > t_lo >= 0:  # F(-t) = F(t): a window before t = 0 would report a mirror image
+        raise ValueError(f"search window {window!r} is not 0 <= lo < hi")
     return t_lo, t_hi
 
 
@@ -336,12 +370,16 @@ def find_transfer_time(
     """Locate the transfer peak of ``F(t) = |<target| exp(-i H t) |source>|^2``.
 
     ``F`` is scanned on a uniform grid over ``window``, about ``_CHUNK``
-    points at a time, so no array of grid length is formed; every local
-    maximum near the grid top is refined by Newton on ``F'(t) = 0`` inside its
-    grid bracket.  The result is the best refined peak in the first period of the
-    slow transfer envelope, the earliest on an exact tie: later periods
-    repeat the same peaks with essentially the same fidelity, so a global
-    argmax would jump between them on rounding-level differences.
+    points at a time, so no array of grid length is formed.  A grid row of
+    ``isqrt(n) + 1`` points is skipped where a bound on its ``F`` (the row
+    head's amplitude plus the most the row's phases can turn it) is more than
+    ``_CANDIDATE_BAND`` below a grid maximum: most rows of a dispersive grid,
+    none of a resonant one.  Every local maximum near the grid top is
+    refined by Newton on ``F'(t) = 0`` inside its grid bracket.  The result
+    is the best refined peak in the first period of the slow transfer
+    envelope, the earliest on an exact tie: later periods repeat the same
+    peaks with essentially the same fidelity, so a global argmax would jump
+    between them on rounding-level differences.
 
     Parameters
     ----------
@@ -351,7 +389,7 @@ def find_transfer_time(
         Basis indices of the prepared and the read-out mode.
     window : (float, float)
         Search interval ``(lo, hi)``: a list, tuple or array of two finite
-        numbers with ``lo < hi``.
+        numbers with ``0 <= lo < hi``.
     grid_points : int, optional
         Scan resolution, at most ``ARRAY_BUDGET`` points; by default
         ``auto_grid_points`` of the spectrum.  On a grid that resolves the
@@ -372,7 +410,9 @@ def find_transfer_time(
     grid_points = grid_points or auto_grid_points(spectrum, window)
     weights = _transition_weights(spectrum, source, target)
     step = (t_hi - t_lo) / (grid_points - 1)  # as np.linspace has it
-    chunks = _uniform_chunks(weights, spectrum.eigenvalues, t_lo, step, grid_points)
+    heads, ladder, bound = _uniform_rows(weights, spectrum.eigenvalues, t_lo, step, grid_points)
+    runs = _rows_to_scan(heads, ladder, bound, grid_points)
+    chunks = _uniform_chunks(heads, ladder, grid_points, runs)
     peaks, f_grid, a_grid = _scan_peaks(chunks, grid_points, window)
     t_grid, lo, hi = _grid_times(peaks + np.array([[0], [-1], [1]]), t_lo, t_hi, grid_points)
     t_new = _newton_peaks(weights, spectrum.eigenvalues, t_grid, lo, hi)

@@ -372,11 +372,7 @@ class TestUniformScan:
     @given(case=uniform_grids())
     def test_ladder_matches_per_point_phases(self, case):
         weights, eigenvalues, t_lo, step, n = case
-        chunks = list(evolution._uniform_chunks(weights, eigenvalues, t_lo, step, n))
-        # whole ladder rows of m = isqrt(n) + 1 points, at most _CHUNK points unless one row is more
-        assert max(chunk.size for chunk in chunks) <= max(evolution._CHUNK, math.isqrt(n) + 1)
-        amp = np.concatenate(chunks)
-        assert amp.shape == (n,)
+        amp = grid_amplitudes(weights, eigenvalues, t_lo, step, n)
         # both ends, where the ladder's rows start and stop, and a spread in between
         spread = np.linspace(0, n - 1, 3000).astype(int)
         idx = np.unique(np.r_[0 : min(n, 3000), max(0, n - 3000) : n, spread])
@@ -386,6 +382,16 @@ class TestUniformScan:
         scale = 1.0 + np.abs(eigenvalues).max() * np.abs(times).max()
         bound = 16 * np.finfo(float).eps * scale * np.abs(weights).sum()
         assert np.abs(amp[idx] - expected).max() <= bound
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(case=uniform_grids())
+    def test_row_bound_holds_on_every_point(self, case):
+        # protocol blocks of both regimes reach |lambda t| ~ 1e6, random spectra ~ 1e7
+        weights, eigenvalues, t_lo, step, n = case
+        heads, ladder, bound = evolution._uniform_rows(weights, eigenvalues, t_lo, step, n)
+        f = np.zeros(heads.shape[0] * ladder.shape[1])
+        f[:n] = np.abs(grid_amplitudes(weights, eigenvalues, t_lo, step, n)) ** 2
+        assert (f.reshape(heads.shape[0], -1).max(1) <= bound).all()
 
     @pytest.mark.parametrize("regime, block", sorted(PINNED_AUTO_SEARCHES))
     def test_auto_search_matches_pinned(self, regime, block):
@@ -410,16 +416,53 @@ def one_shot_peaks(amp):
     return peaks, f[peaks], amp[peaks]
 
 
+def grid_amplitudes(weights, eigenvalues, t_lo, step, n):
+    """The whole grid from the uniform scan's chunks, checking their size and order."""
+    heads, ladder, _ = evolution._uniform_rows(weights, eigenvalues, t_lo, step, n)
+    starts, chunks = zip(*evolution._uniform_chunks(heads, ladder, n, [(0, heads.shape[0])]))
+    # whole ladder rows of m = isqrt(n) + 1 points, at most _CHUNK points unless one row is more
+    assert ladder.shape[1] == math.isqrt(n) + 1
+    assert max(chunk.size for chunk in chunks) <= max(evolution._CHUNK, math.isqrt(n) + 1)
+    assert list(starts) == [0, *np.cumsum([chunk.size for chunk in chunks[:-1]])]
+    amp = np.concatenate(chunks)
+    assert amp.shape == (n,)
+    return amp
+
+
 def scan_in_rows(monkeypatch, rows):
     """Make the uniform scan take ``rows`` ladder rows per chunk; ``_amp_on_grid`` keeps its own."""
     chunks = evolution._uniform_chunks
 
-    def narrow(weights, eigenvalues, t_lo, step, n):
+    def narrow(heads, ladder, n, runs):
         with monkeypatch.context() as patch:
-            patch.setattr(evolution, "_CHUNK", rows * (math.isqrt(n) + 1))
-            yield from chunks(weights, eigenvalues, t_lo, step, n)
+            patch.setattr(evolution, "_CHUNK", rows * ladder.shape[1])
+            yield from chunks(heads, ladder, n, runs)
 
     monkeypatch.setattr(evolution, "_uniform_chunks", narrow)
+
+
+def skip_no_rows(monkeypatch):
+    """The full in-order scan: no ladder row is skipped, whatever its bound."""
+
+    def every_row(heads, ladder, bound, n):
+        return [(0, heads.shape[0])]
+
+    monkeypatch.setattr(evolution, "_rows_to_scan", every_row)
+
+
+def count_scanned_points(monkeypatch):
+    """Record, per ``_uniform_chunks`` call, the number of grid points it evaluates."""
+    counts = []
+    chunks = evolution._uniform_chunks
+
+    def counted(heads, ladder, n, runs):
+        counts.append(0)
+        for start, amp in chunks(heads, ladder, n, runs):
+            counts[-1] += amp.size
+            yield start, amp
+
+    monkeypatch.setattr(evolution, "_uniform_chunks", counted)
+    return counts
 
 
 def newton_inputs(monkeypatch):
@@ -437,15 +480,23 @@ def newton_inputs(monkeypatch):
 
 @st.composite
 def search_cases(draw):
-    """A block at random params, near resonance or dispersive, and a window in its regime."""
+    """A block at random params, near resonance or dispersive, and a window in its regime.
+
+    A dispersive window is up to 600 long, or holds two periods of the slow envelope.
+    """
     g = draw(st.floats(20.0, 100.0))
     dispersive = draw(st.booleans())
     delta = g * draw(st.floats(-12.0, -3.0) if dispersive else st.floats(-1.0, 1.0))
     params = SystemParams(delta=delta, g=g, j=draw(st.floats(0.5, 2.0)))
     block = draw(st.sampled_from(sorted(SEARCH_PAIRS)))
+    h, (source, target) = extract_block(params, block), SEARCH_PAIRS[block]
+    span = draw(st.floats(20.0, 600.0) if dispersive else st.floats(2.0, 10.0))
+    if dispersive and draw(st.booleans()):
+        spectrum = eigendecompose(h)
+        weights = evolution._transition_weights(spectrum, source, target)
+        span = 2 * evolution._envelope_period(weights, spectrum.eigenvalues)
     t_lo = draw(st.floats(0.0, 5.0))
-    window = (t_lo, t_lo + draw(st.floats(20.0, 60.0) if dispersive else st.floats(2.0, 10.0)))
-    return extract_block(params, block), SEARCH_PAIRS[block], window
+    return h, (source, target), (t_lo, t_lo + span)
 
 
 class TestStreamingScan:
@@ -458,10 +509,38 @@ class TestStreamingScan:
         # few distinct |A|: maxima, flat stretches and ties land on every chunk joint
         amp = np.array(values, dtype=complex)
         ends = np.cumsum(cuts)
-        pieces = np.split(amp, ends[ends < amp.size])
-        got = evolution._scan_peaks(iter(pieces), amp.size, (0.0, 1.0))
+        starts = [0, *ends[ends < amp.size]]
+        pieces = np.split(amp, starts[1:])
+        got = evolution._scan_peaks(zip(starts, pieces), amp.size, (0.0, 1.0))
         for have, want in zip(got, one_shot_peaks(amp)):
             assert have.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        runs=st.lists(
+            st.lists(st.sampled_from([0.0, 0.5, 0.7, 0.9, 1.0, 0.9j]), min_size=1, max_size=12),
+            min_size=1,
+            max_size=4,
+        ),
+        gaps=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    )
+    def test_a_gap_restarts_the_maxima_test(self, runs, gaps):
+        # each run of points is tested on its own: its first point is no maximum, its last is
+        # never tested, and only the band is measured from the top over all runs
+        chunks, want, start = [], [], 0
+        for values, gap in zip(runs, gaps):
+            amp = np.array(values, dtype=complex)
+            chunks.append((start, amp))
+            f = np.abs(amp) ** 2
+            hits = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:])) + 1
+            want += [(start + h, f[h], amp[h]) for h in hits]
+            start += amp.size + gap
+        assume(want)  # without a maximum the candidate comes from a scan of every point
+        top = max(f for _, f, _ in want)
+        want = [w for w in want if w[1] >= top - evolution._CANDIDATE_BAND]
+        got = evolution._scan_peaks(iter(chunks), start, (0.0, 1.0))
+        for have, column in zip(got, zip(*want)):
+            assert have.tobytes() == np.array(column).tobytes()
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @given(case=search_cases())
@@ -478,13 +557,57 @@ class TestStreamingScan:
                 assert np.array(result).tobytes() == np.array(expected).tobytes()
         assert seen[1:] == seen[:1] * 3
 
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(case=search_cases())
+    @example(case=(extract_block(DISPERSIVE, "end"), SEARCH_PAIRS["end"], (0.0, 1200.0)))
+    def test_skipped_rows_leave_the_search_unchanged(self, case):
+        h, (source, target), window = case
+        spectrum = eigendecompose(h)
+        n = auto_grid_points(spectrum, window)
+        with pytest.MonkeyPatch.context() as patch:
+            seen = newton_inputs(patch)
+            result = find_transfer_time(spectrum, source, target, window=window, grid_points=n)
+            skip_no_rows(patch)
+            expected = find_transfer_time(spectrum, source, target, window=window, grid_points=n)
+        assert np.array(result).tobytes() == np.array(expected).tobytes()
+        assert seen[0] == seen[1]
+
+    def test_a_candidate_on_the_edge_of_a_kept_row(self):
+        # F = 0.914, 0.947, 0.979, 0.998, 0.997 in rows (0, 1, 2) and (3, 4): only the second
+        # row's bound reaches the band, and its maximum, point 3, needs point 2 of the first
+        eigenvalues = np.array([-0.6653679750813827, 0.652647409592608])
+        weights = np.array([0.9710645599605856, 0.028935440039414433])
+        t_lo, step, n = 93.73307627384357, 0.46177320451585735, 5
+        heads, ladder, bound = evolution._uniform_rows(weights, eigenvalues, t_lo, step, n)
+        assert bound[0] < bound[1] - evolution._CANDIDATE_BAND
+        runs = evolution._rows_to_scan(heads, ladder, bound, n)
+        assert runs == [[0, 2]]  # the run of row 1, widened by its neighbour
+        peaks = evolution._scan_peaks(evolution._uniform_chunks(heads, ladder, n, runs), n, None)
+        assert peaks[0].tolist() == [3]
+
+    @pytest.mark.parametrize("regime", ["resonant", "dispersive"])
+    def test_points_scanned_on_the_reference_blocks(self, monkeypatch, regime):
+        params, t_max = {"resonant": (RESONANT, 10.0), "dispersive": (DISPERSIVE, 600.0)}[regime]
+        for block, (source, target) in SEARCH_PAIRS.items():
+            h = extract_block(params, block)
+            n = auto_grid_points(h, (0.0, t_max))
+            with monkeypatch.context() as patch:
+                counts = count_scanned_points(patch)
+                result = find_transfer_time(h, source, target, window=(0.0, t_max), grid_points=n)
+            assert result == PINNED_AUTO_SEARCHES[regime, block]
+            if regime == "resonant":  # every row's bound reaches the band: no seed pass
+                assert counts == [n]
+            else:  # the seed pass and the rows near the peak
+                assert len(counts) == 2 and sum(counts) <= 0.15 * n
+
     @pytest.mark.parametrize("place", [0, -1], ids=["first-of-a-chunk", "last-of-a-chunk"])
     def test_maximum_on_a_chunk_boundary(self, monkeypatch, place):
         spectrum = eigendecompose(extract_block(RESONANT, "end"))
         weights, window = evolution._transition_weights(spectrum, 1, 3), (0.0, 10.0)
         for n in range(20001, 20401):  # a grid with a candidate at that end of a ladder row
             step = window[1] / (n - 1)
-            chunks = evolution._uniform_chunks(weights, spectrum.eigenvalues, 0.0, step, n)
+            heads, ladder, _ = evolution._uniform_rows(weights, spectrum.eigenvalues, 0.0, step, n)
+            chunks = evolution._uniform_chunks(heads, ladder, n, [(0, heads.shape[0])])
             peaks = evolution._scan_peaks(chunks, n, window)[0]
             if np.any((peaks - place) % (math.isqrt(n) + 1) == 0):
                 break

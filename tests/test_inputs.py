@@ -78,6 +78,8 @@ MALFORMED = {
     "search-inf-window": ("window", lambda: find_transfer_time(END, 1, 3, window=(0, INF))),
     "search-scalar-window": ("window", lambda: find_transfer_time(END, 1, 3, window=5)),
     "search-triple-window": ("window", lambda: find_transfer_time(END, 1, 3, window=(0, 1, 2))),
+    # F(-t) = F(t): a window before t = 0 once gave the mirror image of the peak, t* < 0
+    "search-negative-window": ("window", lambda: find_transfer_time(END, 1, 3, window=(-5, 5))),
     "autogrid-none-window": ("window", lambda: auto_grid_points(END, None)),
     "state-odd-length": ("amplitudes", lambda: ExcitationState(amps=[1.0])),
     "population-odd-state": (
