@@ -131,10 +131,9 @@ class OrthogonalTransform:
         """Coordinates of a site-basis vector in the collective basis."""
         return _sparse_product(self._rows, vec)
 
-    def from_collective(self, vec: np.ndarray, modes=slice(None)) -> np.ndarray:
-        """Site-basis amplitudes of collective coordinates ``vec``, on ``modes`` (default all)."""
-        index, values = self._columns
-        return _sparse_product((index[modes], values[modes]), vec)
+    def from_collective(self, vec: np.ndarray) -> np.ndarray:
+        """Site-basis amplitudes of collective coordinates ``vec``."""
+        return _sparse_product(self._columns, vec)
 
 
 @dataclass(frozen=True)

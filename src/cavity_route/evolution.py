@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .collective import BlockHamiltonian
+from .collective import BlockHamiltonian, _residual_bound
 from .network import ARRAY_BUDGET, _count, _real, atom_index, cavity_index
 
 __all__ = [
@@ -142,8 +142,7 @@ def eigendecompose(h: np.ndarray | BlockHamiltonian) -> Spectrum:
     m = _as_matrix(h)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"hamiltonian must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - np.swapaxes(m, -1, -2)).max()) > 1e-12 * scale:
+    if float(np.abs(m - np.swapaxes(m, -1, -2)).max()) > _residual_bound(m):
         raise ValueError("hamiltonian must be symmetric")
     eigenvalues, eigenvectors = np.linalg.eigh(m)
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)

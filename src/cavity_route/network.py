@@ -439,58 +439,39 @@ class HexLayout:
 
 
 def hex_lattice_layout(desc: HexLatticeDescriptor) -> HexLayout:
-    """Deterministic site numbering for a lattice descriptor.
+    """Deterministic site numbering for a lattice descriptor: a site's id is its list position.
 
-    Inner quadruples come first, in vertex order; outer sites follow in
-    (vertex, port) order, with each shared link site created at its first
-    encounter.  Every vertex always exposes a full set of four ports: ports
-    not claimed by a link or an upload get a dangling port site, so the
-    Hadamard coupling pattern at each vertex is complete.  The layout is
-    built once per descriptor object and kept on it; it is not to be mutated.
+    Inner quadruples come first, in vertex order; outer sites follow in (vertex, port) order.
+    A link site is made at whichever of its ends comes first in that order and found from its
+    far end at the other.  A port claimed by no link or upload gets a dangling site, so every
+    vertex has its full Hadamard coupling pattern.  The layout is built once per descriptor
+    object and kept on it; it is not to be mutated.
     """
     if "_layout" in vars(desc):
         return desc._layout
-    inner: dict[str, tuple[int, int, int, int]] = {}
-    for v_pos, v in enumerate(desc.vertices):
-        inner[v] = tuple(4 * v_pos + i for i in range(4))  # type: ignore[assignment]
-    sites: list[Site] = [
-        Site(id=inner[v][i], label=f"{v}.mu{i}", role="control")
-        for v in desc.vertices
-        for i in range(4)
-    ]
-    link_end: dict[tuple[str, int], tuple[str, int, str, int]] = {}
-    for link in desc.links:
-        a, pa, b, pb = link
-        link_end[(a, pa)] = link
-        link_end[(b, pb)] = link
+    sites: list[Site] = []
+
+    def new_site(label: str, role: str) -> int:
+        sites.append(Site(id=len(sites), label=label, role=role))
+        return sites[-1].id
+
+    inner = {v: tuple(new_site(f"{v}.mu{i}", "control") for i in range(4)) for v in desc.vertices}
+    link_of = {end: link for link in desc.links for end in (link[:2], link[2:])}
     occupant: dict[tuple[str, int], int] = {}
-    link_site: dict[tuple[str, int, str, int], int] = {}
-    next_id = 4 * len(desc.vertices)
     for v in desc.vertices:
         for port in range(4):
-            key = (v, port)
-            if port == 0:
-                role = "upload" if v in desc.uploads else "port"
-                label = f"{v}.up" if v in desc.uploads else f"{v}.p0"
-                sites.append(Site(id=next_id, label=label, role=role))
-                occupant[key] = next_id
-                next_id += 1
-            elif key in link_end:
-                link = link_end[key]
-                if link in link_site:
-                    occupant[key] = link_site[link]
-                else:
-                    a, pa, b, pb = link
-                    sites.append(
-                        Site(id=next_id, label=f"{a}{pa}-{b}{pb}", role="port")
-                    )
-                    link_site[link] = next_id
-                    occupant[key] = next_id
-                    next_id += 1
+            key, link = (v, port), link_of.get((v, port))
+            if link is not None:
+                far = link[2:] if link[:2] == key else link[:2]
+                if far in occupant:
+                    occupant[key] = occupant[far]
+                    continue
+                label, role = "{}{}-{}{}".format(*link), "port"
+            elif port == 0 and v in desc.uploads:
+                label, role = f"{v}.up", "upload"
             else:
-                sites.append(Site(id=next_id, label=f"{v}.p{port}", role="port"))
-                occupant[key] = next_id
-                next_id += 1
+                label, role = f"{v}.p{port}", "port"
+            occupant[key] = new_site(label, role)
     edges = tuple(
         (inner[v][i], occupant[(v, port)], HADAMARD_SIGNS[i][port])
         for v in desc.vertices

@@ -250,6 +250,8 @@ def hex_routing_schedule(
     current_port = 0
     for here, there in zip(path[:-1], path[1:]):
         port_out, port_in = link_between(here, there)
+        if port_out == current_port:
+            raise ValueError(f"path turns back at {here!r} along the link it arrived by")
         steps.append(
             PhaseFlip(_port_flip_sites(layout.inner[here], current_port, port_out))
         )

@@ -634,6 +634,7 @@ class TestConfigContract:
             ("route", _with(ROUTE, descriptor=COMMA_HEX, protocol__path=["a,x", "b"]), []),
             # once t_star=-2.22314941144 and exit 0: the mirror image of the peak at t > 0
             ("transfer-time", _with(CHAIN, n=3, window=[-5, 5]), ["--block", "end"]),
+            ("route", _with(ROUTE, protocol__path=["a", "b", "a"]), []),
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capsys, command, cfg, flags):

@@ -103,9 +103,6 @@ class TestOrthogonalTransform:
         assert np.abs(t.to_collective(vec) - t.matrix @ vec).max() <= 1e-15
         assert np.abs(t.from_collective(vec) - t.matrix.T @ vec).max() <= 1e-15
         assert np.abs(t.to_collective(samples) - t.matrix @ samples).max() <= 1e-15
-        modes = np.array([t.dim - 1, 0])
-        picked = t.from_collective(samples, modes)
-        assert np.abs(picked - (t.matrix.T @ samples)[modes]).max() <= 1e-15
 
 
 class TestChainBasis:

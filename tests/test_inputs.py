@@ -113,6 +113,17 @@ def test_malformed_input_is_one_named_value_error(name):
         call()
 
 
+THREE_IN_A_ROW = HexLatticeDescriptor(("a", "b", "c"), (("a", 1, "b", 2), ("b", 3, "c", 1)), ("a",))
+
+
+@pytest.mark.parametrize("path, vertex", [("aba", "b"), ("abcba", "c")])
+def test_route_that_turns_back_names_the_vertex(path, vertex):
+    # once refused only by the port flip, as "port flip needs two distinct ports"
+    message = rf"^path turns back at '{vertex}' along the link it arrived by$"
+    with pytest.raises(ValueError, match=message):
+        hex_routing_schedule(THREE_IN_A_ROW, list(path), 1.0, 1.0)
+
+
 I, F = np.int64, np.float64
 
 # (call with Python scalars, the same call with numpy scalars)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cavity_route import (
     DISPERSIVE,
@@ -261,6 +263,71 @@ class TestHexDescriptor:
         assert HexLatticeDescriptor.from_json_dict(data) == desc
 
 
+def _reference_layout(desc):
+    """The three-registry numbering that ``hex_lattice_layout`` replaced, kept verbatim."""
+    inner: dict[str, tuple[int, int, int, int]] = {}
+    for v_pos, v in enumerate(desc.vertices):
+        inner[v] = tuple(4 * v_pos + i for i in range(4))  # type: ignore[assignment]
+    sites: list[Site] = [
+        Site(id=inner[v][i], label=f"{v}.mu{i}", role="control")
+        for v in desc.vertices
+        for i in range(4)
+    ]
+    link_end: dict[tuple[str, int], tuple[str, int, str, int]] = {}
+    for link in desc.links:
+        a, pa, b, pb = link
+        link_end[(a, pa)] = link
+        link_end[(b, pb)] = link
+    occupant: dict[tuple[str, int], int] = {}
+    link_site: dict[tuple[str, int, str, int], int] = {}
+    next_id = 4 * len(desc.vertices)
+    for v in desc.vertices:
+        for port in range(4):
+            key = (v, port)
+            if port == 0:
+                role = "upload" if v in desc.uploads else "port"
+                label = f"{v}.up" if v in desc.uploads else f"{v}.p0"
+                sites.append(Site(id=next_id, label=label, role=role))
+                occupant[key] = next_id
+                next_id += 1
+            elif key in link_end:
+                link = link_end[key]
+                if link in link_site:
+                    occupant[key] = link_site[link]
+                else:
+                    a, pa, b, pb = link
+                    sites.append(
+                        Site(id=next_id, label=f"{a}{pa}-{b}{pb}", role="port")
+                    )
+                    link_site[link] = next_id
+                    occupant[key] = next_id
+                    next_id += 1
+            else:
+                sites.append(Site(id=next_id, label=f"{v}.p{port}", role="port"))
+                occupant[key] = next_id
+                next_id += 1
+    edges = tuple(
+        (inner[v][i], occupant[(v, port)], HADAMARD_SIGNS[i][port])
+        for v in desc.vertices
+        for i in range(4)
+        for port in range(4)
+    )
+    return inner, occupant, sites, edges
+
+
+@st.composite
+def _descriptors(draw):
+    """1-7 vertices named with braces and brackets, links between free ports in either
+    orientation (a vertex pair may share several), uploads on a random subset."""
+    names = st.text(alphabet="ab{}[]", min_size=1, max_size=3)
+    vertices = draw(st.lists(names, min_size=1, max_size=7, unique=True))
+    ends = draw(st.permutations([(v, p) for v in vertices for p in (1, 2, 3)]))
+    pairs = zip(ends[0::2], ends[1::2])
+    links = [(*x, *y) for x, y in pairs if x[0] != y[0] and draw(st.booleans())]
+    uploads = [v for v in draw(st.permutations(vertices)) if draw(st.booleans())]
+    return HexLatticeDescriptor(tuple(vertices), tuple(links), tuple(uploads))
+
+
 class TestHexLayout:
     def _two_vertex(self):
         return HexLatticeDescriptor(
@@ -309,6 +376,19 @@ class TestHexLayout:
         assert spec.dim == 30
         assert np.allclose(np.diag(h)[0::2], RESONANT.omega_c)
         assert np.allclose(np.diag(h)[1::2], RESONANT.omega_a)
+
+    # a link first met at its second-listed end, and two links joining one vertex pair
+    @example(HexLatticeDescriptor(("a", "b"), (("b", 2, "a", 1), ("a", 3, "b", 3)), ("a",)))
+    @example(HexLatticeDescriptor(("{x}", "[y]"), (("[y]", 1, "{x}", 3),), ("[y]",)))
+    @given(_descriptors())
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    def test_numbering_matches_the_reference(self, desc):
+        layout = hex_lattice_layout(desc)
+        inner, occupant, sites, edges = _reference_layout(desc)
+        assert layout.inner == inner and layout.occupant == occupant and layout.edges == edges
+        assert [(s.id, s.label, s.role) for s in layout.sites] == [
+            (s.id, s.label, s.role) for s in sites
+        ]
 
 
 class TestMalformedInput:
