@@ -73,7 +73,6 @@ from .network import (
     NetworkSpec,
     SystemParams,
     _count,
-    atom_index,
     build_diamond_chain,
     build_hex_lattice,
     build_single_excitation_hamiltonian,
@@ -190,6 +189,14 @@ def _check_finite(**values) -> None:
         raise FloatingPointError(f"non-finite {', '.join(bad)}")
 
 
+def _verdict(args, ok: bool, failure: str) -> int:
+    """Exit status of a finished report: 1 and one ``strict:`` line if ``--strict`` and not ok."""
+    if args.strict and not ok:
+        print(f"strict: {failure}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def emit_trace_csv(
     trace: TraceResult,
     path: str,
@@ -243,10 +250,8 @@ def _cmd_blocks(args) -> int:
             fh.write("\n".join(lines) + "\n")
     shown = "<=1e-12" if residual <= 1e-12 else f"{residual:.3e}"
     print(f"blocks: {','.join(str(b.dim) for b in blocks)} residual: {shown}")
-    if args.strict and not (_residual_bound(h[2]) >= residual):
-        print(f"strict: residual {residual:.3e} above {_residual_bound(h[2]):.3e}", file=sys.stderr)
-        return 1
-    return 0
+    bound = _residual_bound(h[2])
+    return _verdict(args, bound >= residual, f"residual {residual:.3e} above {bound:.3e}")
 
 
 def _cmd_transfer_time(args) -> int:
@@ -270,10 +275,8 @@ def _cmd_transfer_time(args) -> int:
     result = _find_peak(h, source, target, args, cfg, params)
     _check_finite(**result._asdict())
     print(" ".join(f"{key}={value:.12g}" for key, value in result._asdict().items()))
-    if args.strict and not (result.fidelity >= 0.999):
-        print(f"strict: peak fidelity {result.fidelity:.6f} below 0.999", file=sys.stderr)
-        return 1
-    return 0
+    fidelity = result.fidelity
+    return _verdict(args, fidelity >= 0.999, f"peak fidelity {fidelity:.6f} below 0.999")
 
 
 def _cmd_validate_analytic(args) -> int:
@@ -295,10 +298,8 @@ def _cmd_validate_analytic(args) -> int:
     worst = max(errors)
     print("\n".join(lines))
     print(f"worst={worst:.6e}")
-    if args.strict and not (_ANALYTIC_THRESHOLD >= worst):
-        print(f"strict: worst error {worst:.3e} above {_ANALYTIC_THRESHOLD}", file=sys.stderr)
-        return 1
-    return 0
+    failure = f"worst error {worst:.3e} above {_ANALYTIC_THRESHOLD}"
+    return _verdict(args, _ANALYTIC_THRESHOLD >= worst, failure)
 
 
 def _trace_fields(trace: TraceResult, **extra) -> dict:
@@ -319,7 +320,7 @@ def _run_switch(cfg: dict, proto: dict, params: SystemParams, times, samples: in
     schedule = switch_schedule(proto.get("port"), *times)
     port = schedule.target[0]
     spec, basis = _network_and_basis(cfg, params)
-    track = [(f"atom[{spec.sites[k].label}]", atom_index(k)) for k in range(4)]
+    track = [(k, "atom") for k in range(4)]
     trace = run_schedule(spec, schedule, samples_per_window=samples, track=track, basis=basis)
     leakage = sum(site_population(trace.final_state, k, "atom") for k in (1, 2, 3) if k != port)
     return trace, _trace_fields(trace, leakage=leakage)
@@ -408,14 +409,9 @@ def _cmd_protocol(args) -> int:
     if resolved:
         print(resolved)
     leakage = fields.get("leakage", 0.0)
-    if args.strict and not (fidelity >= _FIDELITY_FLOOR and _LEAKAGE_CEILING >= leakage):
-        print(
-            f"strict: {protocol.footer[0]} {fidelity:.6f} / leakage {leakage:.3e} "
-            f"outside {_FIDELITY_FLOOR} / {_LEAKAGE_CEILING}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    ok = fidelity >= _FIDELITY_FLOOR and _LEAKAGE_CEILING >= leakage
+    failure = f"{protocol.footer[0]} {fidelity:.6f} / leakage {leakage:.3e}"
+    return _verdict(args, ok, f"{failure} outside {_FIDELITY_FLOOR} / {_LEAKAGE_CEILING}")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -22,6 +22,7 @@ from .network import (
     Site,
     SystemParams,
     _count,
+    _listed,
     atom_index,
     build_single_excitation_hamiltonian,
     cavity_index,
@@ -45,19 +46,15 @@ def _residual_bound(values: np.ndarray) -> float:
 
 
 def _nonzeros(m, dim: int, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``m`` as ``(rows, cols, values)``: it is such a triple, or a dense ``dim x dim`` array."""
-    if isinstance(m, tuple):
-        rows, cols, values = (np.asarray(part) for part in m)
-        ok = rows.shape == cols.shape == values.shape == (rows.size,)
-        ids = np.concatenate([rows, cols]) if ok else rows
-        if not (ok and ids.dtype.kind == "i" and np.all((0 <= ids) & (ids < dim))):
-            raise ValueError(f"{what} entries must be integer rows and cols in [0, {dim - 1}]")
-        return rows.astype(np.intp), cols.astype(np.intp), values.astype(float)
-    m = np.asarray(m, dtype=float)
-    if m.shape != (dim, dim):
-        raise ValueError(f"{what} shape {m.shape} does not match dim {dim}")
-    rows, cols = np.nonzero(m)
-    return rows, cols, m[rows, cols]
+    """The nonzeros ``m = (rows, cols, values)`` of a ``dim x dim`` matrix, as arrays."""
+    if not (isinstance(m, tuple) and len(m) == 3):
+        raise ValueError(f"{what} entries must be (rows, cols, values), not {type(m).__name__}")
+    rows, cols, values = (np.asarray(part) for part in m)
+    ok = rows.shape == cols.shape == values.shape == (rows.size,)
+    ids = np.concatenate([rows, cols]) if ok else rows
+    if not (ok and ids.dtype.kind == "i" and np.all((0 <= ids) & (ids < dim))):
+        raise ValueError(f"{what} entries must be integer rows and cols in [0, {dim - 1}]")
+    return rows.astype(np.intp), cols.astype(np.intp), values.astype(float)
 
 
 def _padded(dim: int, rows, cols, values) -> tuple[np.ndarray, np.ndarray]:
@@ -80,10 +77,9 @@ class OrthogonalTransform:
     """Orthogonal change of basis ``Q`` with named rows grouped into blocks.
 
     ``entries`` are the nonzeros ``(rows, cols, values)`` of ``Q``, one orthonormal row per
-    label (a dense square ``Q`` is read through its nonzeros; repeated elements add up).  A
-    collective basis has at most four per row, each ``+-1/2``, ``+-1/sqrt(2)`` or ``1``.
-    ``groups`` partitions the rows into the invariant subspaces.  Everything but ``matrix``,
-    the dense ``Q`` built on request, uses only the nonzeros.
+    label (repeated elements add up); no ``dim x dim`` array is ever formed.  A collective
+    basis has at most four per row, each ``+-1/2``, ``+-1/sqrt(2)`` or ``1``.  ``labels`` are
+    strings; ``groups``, ``(name, rows)`` pairs, partition the rows into the invariant subspaces.
     """
 
     entries: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -91,13 +87,18 @@ class OrthogonalTransform:
     groups: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", _listed(self.labels, "transform labels", str))
         dim = len(self.labels)
         rows, cols, values = _nonzeros(self.entries, dim, "transform")
         order = np.lexsort((cols, rows))  # row by row, each row by column
         rows, cols, values = rows[order], cols[order], values[order]
         object.__setattr__(self, "entries", (rows, cols, values))
-        sizes = np.array([len(idx) for _, idx in self.groups], dtype=np.intp)
-        members = [i for _, idx in self.groups for i in idx]
+        groups = _listed(self.groups, "groups", (list, tuple))
+        if any(len(group) != 2 for group in groups):
+            raise ValueError(f"groups must be (name, rows) pairs, got {self.groups!r}")
+        ids = [_listed(idx, "group rows") for _, idx in groups]
+        sizes = np.array([len(idx) for idx in ids], dtype=np.intp)
+        members = [_count(i, "group row", 0, dim - 1) for idx in ids for i in idx]
         if not (dim and sizes.all() and sorted(members) == list(range(dim))):
             raise ValueError("groups must partition all rows exactly once")
         # per row: its group, its place in it, and where its row of the group's block starts
@@ -121,11 +122,6 @@ class OrthogonalTransform:
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense ``Q``, built on each request."""
-        return self.from_collective(np.eye(self.dim)).T
 
     def to_collective(self, vec: np.ndarray) -> np.ndarray:
         """Coordinates of a site-basis vector in the collective basis."""
@@ -270,7 +266,7 @@ def lattice_collective_basis(desc: HexLatticeDescriptor) -> OrthogonalTransform:
 def block_decompose(h, transform: OrthogonalTransform) -> tuple[list[BlockHamiltonian], float]:
     """The blocks of ``Q H Q^T`` along ``transform.groups``, and the off-block residual.
 
-    ``h`` is the nonzeros ``(rows, cols, values)`` of H, or a dense H read through them.
+    ``h`` is the nonzeros ``(rows, cols, values)`` of H, as its builder lists them.
     Element ``(r, s)`` sums ``Q[r, c] H[c, k] Q[s, k]`` over the entries of H and the rows of Q
     holding ``c`` and ``k``: ``O(nnz)`` terms.  The residual is the largest ``|element|`` outside
     every block.  Blocks or terms above ``ARRAY_BUDGET`` elements raise ``ValueError``.

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .collective import BlockHamiltonian, _residual_bound
-from .network import ARRAY_BUDGET, _count, _real, atom_index, cavity_index
+from .network import ARRAY_BUDGET, _count, _mode, _real, cavity_index
 
 __all__ = [
     "ExcitationState",
@@ -221,6 +221,12 @@ def _uniform_rows(
     return heads, ladder, np.square(np.minimum(abs(heads.sum(1)) + reach, total) + slack)
 
 
+def _maxima(f: np.ndarray) -> np.ndarray:
+    """Indices ``i`` of the maxima ``f[i + 1]`` of ``f[1:-1]``: a maximum rises strictly on its
+    left and not on its right, so a flat stretch gives one, not all."""
+    return np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))
+
+
 def _rows_to_scan(heads, ladder, bound, n: int) -> list:
     """Runs ``(first, stop)`` of the rows whose ``bound`` reaches the band below a grid maximum."""
     if isinstance(bound, float) or not bound.min() < bound.max() - _CANDIDATE_BAND:
@@ -228,7 +234,7 @@ def _rows_to_scan(heads, ladder, bound, n: int) -> list:
     near = max(0, int(np.argmax(abs(heads.sum(1)))) - 1)  # the largest head sum and neighbours
     seed_rows = [(near, min(near + 3, bound.size))]
     f = np.abs(np.concatenate([a for _, a in _uniform_chunks(heads, ladder, n, seed_rows)])) ** 2
-    seed = f[1:-1][(f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:])].max(initial=-np.inf)  # as _scan_peaks
+    seed = f[_maxima(f) + 1].max(initial=-np.inf)
     keep = np.convolve(~(bound < seed - _CANDIDATE_BAND), [1, 1, 1])[1:-1] > 0  # and neighbours
     return np.flatnonzero(np.diff(keep, prepend=False, append=False)).reshape(-1, 2).tolist()
 
@@ -256,9 +262,9 @@ def _scan_peaks(
     """Index, F and A of the grid maxima of ``F = |A|^2`` within ``_CANDIDATE_BAND`` of the top.
 
     ``chunks`` yields ``(start, amplitudes)`` in order; the last two of a chunk are carried into
-    the next of its run of points, so every point meets its true neighbours.  A maximum rises
-    strictly on its left and not on its right, so a flat stretch gives one candidate, not all.
-    Without one, the candidate is the first highest point of ``F[1:-1]`` (all points scanned).
+    the next of its run of points, so every point meets its true neighbours.  ``_maxima`` finds
+    the maxima, as it does in the seed pass of ``_rows_to_scan``.  Without one, the candidate is
+    the first highest point of ``F[1:-1]`` (all points scanned).
     """
     top, found, stop = -np.inf, [], None
     for start, amp in chunks:
@@ -269,7 +275,7 @@ def _scan_peaks(
         np.square(np.abs(amp, out=f[2:]), out=f[2:])
         if not np.isfinite(f[2:]).all():
             raise FloatingPointError(f"non-finite transfer fidelity on the scan over {window!r}")
-        hits = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))  # at start - 1 + hits
+        hits = _maxima(f)  # at start - 1 + hits
         if hits.size:  # kept: those within the band of the top so far
             top = max(top, float(f[hits + 1].max()))
             hits = hits[f[hits + 1] >= top - _CANDIDATE_BAND]
@@ -307,10 +313,7 @@ def photon_population(state: ExcitationState) -> float:
 
 def site_population(state: ExcitationState, site: int, kind: str) -> float:
     """Population of one site mode; ``kind`` is ``"cavity"`` or ``"atom"``."""
-    if kind not in ("cavity", "atom"):
-        raise ValueError(f"kind must be 'cavity' or 'atom', got {kind!r}")
-    site = _count(site, "site", 0, state.dim // 2 - 1)
-    return state.population((atom_index if kind == "atom" else cavity_index)(site))
+    return state.population(_mode((site, kind), state.dim // 2, "population mode"))
 
 
 def _newton_peaks(

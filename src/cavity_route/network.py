@@ -122,6 +122,16 @@ def atom_index(site: int) -> int:
     return 2 * site + 1
 
 
+def _mode(mode, sites: float, what: str) -> int:
+    """Row of ``mode``, a ``(site, kind)`` pair with ``0 <= site < sites`` and kind
+    ``"cavity"`` or ``"atom"``: the one place a kind and a site become a row."""
+    mode = _listed(mode, what)
+    if len(mode) != 2 or mode[1] not in ("cavity", "atom"):
+        raise ValueError(f"{what} must be a (site, 'cavity' or 'atom') pair, got {mode!r}")
+    site = _count(mode[0], f"{what} site", 0, sites - 1)
+    return (atom_index if mode[1] == "atom" else cavity_index)(site)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical parameters shared by every site of a network.
@@ -212,7 +222,7 @@ class NetworkSpec:
     params: SystemParams = field(default_factory=SystemParams)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sites", tuple(self.sites))
+        object.__setattr__(self, "sites", _listed(self.sites, "sites", Site))
         if not self.sites:
             raise ValueError("a network needs at least one site")
         for pos, site in enumerate(self.sites):

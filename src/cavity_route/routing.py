@@ -18,7 +18,7 @@ one real GEMM per window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, inf
 from typing import ClassVar, Union
 
 import numpy as np
@@ -37,12 +37,11 @@ from .network import (
     HexLatticeDescriptor,
     NetworkSpec,
     _count,
-    _label,
     _listed,
+    _mode,
     _real,
     atom_index,
     build_single_excitation_hamiltonian,
-    cavity_index,
     hex_lattice_layout,
 )
 
@@ -134,10 +133,9 @@ class Schedule:
         if not any(isinstance(step, Evolve) for step in self.steps):
             raise ValueError("schedule contains no evolution window")
         for name in ("source", "target"):
-            site, kind = getattr(self, name)
-            if kind not in ("atom", "cavity"):
-                raise ValueError(f"{name} kind must be 'atom' or 'cavity', got {kind!r}")
-            object.__setattr__(self, name, (_count(site, f"{name} site", 0), kind))
+            mode = getattr(self, name)
+            _mode(mode, inf, name)  # the network's size is checked when the schedule runs
+            object.__setattr__(self, name, (int(mode[0]), mode[1]))
 
     def total_evolve_time(self) -> float:
         """Exact (order-independent) sum of all evolution windows."""
@@ -292,11 +290,6 @@ class TraceResult:
         return int(self.times.shape[0])
 
 
-def _mode_index(spec: NetworkSpec, site: int, kind: str) -> int:
-    site = _count(site, "site", 0, spec.num_sites - 1)
-    return (atom_index if kind == "atom" else cavity_index)(site)
-
-
 def run_schedule(
     spec: NetworkSpec,
     schedule: Schedule,
@@ -315,17 +308,18 @@ def run_schedule(
     Populations are sampled on ``samples_per_window`` equally spaced points
     per evolution window (window edges included; the duplicate sample at a
     window joint is dropped since instantaneous flips do not change any
-    population).  ``track`` is an optional list of ``(label, mode_index)``
-    pairs; by default the source and target atoms are tracked.  A window may
-    hold at most ``ARRAY_BUDGET`` amplitudes (``samples_per_window x dim``).
+    population).  ``track`` is an optional list of ``(site, kind)`` modes, kind
+    ``"cavity"`` or ``"atom"``, each labelled ``kind[site label]``; by default
+    the source and target modes are tracked.  A window may hold at most
+    ``ARRAY_BUDGET`` amplitudes (``samples_per_window x dim``).
     A non-finite norm, or one that drifts from the initial norm by more than
     ``NORM_TOLERANCE``, raises ``FloatingPointError``.
     """
     samples_per_window = _count(samples_per_window, "samples_per_window", 2)
     if samples_per_window * spec.dim > ARRAY_BUDGET:
         raise ValueError(f"{samples_per_window} samples x {spec.dim} modes exceed {ARRAY_BUDGET}")
-    src = _mode_index(spec, *schedule.source)
-    tgt = _mode_index(spec, *schedule.target)
+    src = _mode(schedule.source, spec.num_sites, "source")
+    tgt = _mode(schedule.target, spec.num_sites, "target")
     if initial is None:
         initial = ExcitationState.excitation(spec.dim, src)
     if initial.dim != spec.dim:
@@ -335,13 +329,11 @@ def run_schedule(
         if not isinstance(step, Evolve) and step not in atom_rows:
             _count(max(step.atom_sites), "atom site", 0, spec.num_sites - 1)
             atom_rows[step] = atom_index(np.array(step.atom_sites))
-    if track is None:
-        track = [(f"atom[{spec.sites[schedule.source[0]].label}]", src)]
-        if tgt != src:
-            track.append((f"atom[{spec.sites[schedule.target[0]].label}]", tgt))
-    labels = tuple(_label(label, "track labels") for label, _ in track)
-    modes = [_count(row, f"track row of {label!r}", 0, spec.dim - 1) for label, row in track]
+    if track is None:  # the source mode, and the target mode if it is another
+        track = [schedule.source] + ([schedule.target] if tgt != src else [])
+    modes = [_mode(mode, spec.num_sites, "track mode") for mode in _listed(track, "track")]
     modes = np.array(modes, dtype=int)  # an index array even when empty
+    labels = tuple(f"{kind}[{spec.sites[site].label}]" for site, kind in track)
 
     h = build_single_excitation_hamiltonian(spec, entries=True)
     if basis is None:  # every mode is its own collective mode, all in one block
@@ -463,7 +455,7 @@ def entanglement_transfer(
     """
     if not isinstance(compensate, bool):
         raise ValueError(f"compensate must be a bool, got {compensate!r}")
-    src = _mode_index(spec, *schedule.source)
+    src = _mode(schedule.source, spec.num_sites, "source")
     s = 1.0 / np.sqrt(2.0)
     initial = ExcitationState.with_vacuum(spec.dim, src, s, s)
     trace = run_schedule(spec, schedule, initial, samples_per_window, basis=basis)

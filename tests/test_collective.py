@@ -34,31 +34,48 @@ TWO_VERTEX = HexLatticeDescriptor(
 
 
 def _decompose(spec, transform):
-    h = build_single_excitation_hamiltonian(spec)
+    h = build_single_excitation_hamiltonian(spec, entries=True)
     return block_decompose(h, transform)
+
+
+def _nonzeros(m):
+    """The nonzeros ``(rows, cols, values)`` of a dense matrix."""
+    rows, cols = np.nonzero(m)
+    return rows, cols, m[rows, cols]
+
+
+def _dense(t):
+    """The dense ``Q`` of ``t``, scatter-added from ``t.entries`` (no product under test)."""
+    rows, cols, values = t.entries
+    q = np.zeros((t.dim, t.dim))
+    np.add.at(q, (rows, cols), values)
+    return q
+
+
+EYE2 = _nonzeros(np.eye(2))
 
 
 class TestOrthogonalTransform:
     def test_rows_must_be_orthonormal(self):
         m = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            OrthogonalTransform(m, labels=("x", "y"), groups=(("g", (0, 1)),))
+            OrthogonalTransform(_nonzeros(m), labels=("x", "y"), groups=(("g", (0, 1)),))
 
     def test_groups_must_partition_rows(self):
         with pytest.raises(ValueError):
-            OrthogonalTransform(np.eye(2), labels=("x", "y"), groups=(("g", (0,)),))
+            OrthogonalTransform(EYE2, labels=("x", "y"), groups=(("g", (0,)),))
 
     def test_empty_group_is_refused(self):
         groups = (("g", (0, 1)), ("empty", ()))
         with pytest.raises(ValueError, match="partition"):
-            OrthogonalTransform(np.eye(2), labels=("x", "y"), groups=groups)
+            OrthogonalTransform(EYE2, labels=("x", "y"), groups=groups)
 
     def test_entries_and_the_dense_matrix_give_one_transform(self):
         dense = chain_collective_basis(3)
         rows, cols, values = dense.entries
         assert rows.size == 2 * 4 + 4 * 3 * 2  # vertex modes hold one entry, +/- modes two
-        from_dense = OrthogonalTransform(dense.matrix, dense.labels, dense.groups)
-        assert np.array_equal(from_dense.matrix, dense.matrix)
+        from_dense = OrthogonalTransform(_nonzeros(_dense(dense)), dense.labels, dense.groups)
+        assert all(np.array_equal(a, b) for a, b in zip(from_dense.entries, dense.entries))
         shuffled = np.random.default_rng(5).permutation(rows.size)
         again = OrthogonalTransform(
             (rows[shuffled], cols[shuffled], values[shuffled]), dense.labels, dense.groups
@@ -79,7 +96,16 @@ class TestOrthogonalTransform:
         with pytest.raises(ValueError, match="entries must be integer rows and cols in"):
             OrthogonalTransform(entries, ("x", "y"), (("g", (0, 1)),))
         with pytest.raises(ValueError, match="entries must be integer rows and cols in"):
-            block_decompose(entries, OrthogonalTransform(np.eye(2), ("x", "y"), (("g", (0, 1)),)))
+            block_decompose(entries, OrthogonalTransform(EYE2, ("x", "y"), (("g", (0, 1)),)))
+
+    @pytest.mark.parametrize("dense", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]], EYE2[:2]])
+    def test_only_the_nonzeros_are_read(self, dense):
+        # a dense matrix, or a pair, is not the nonzeros (rows, cols, values)
+        message = r"entries must be \(rows, cols, values\), not (ndarray|list|tuple)$"
+        with pytest.raises(ValueError, match=f"^transform {message}"):
+            OrthogonalTransform(dense, ("x", "y"), (("g", (0, 1)),))
+        with pytest.raises(ValueError, match=f"^hamiltonian {message}"):
+            block_decompose(dense, OrthogonalTransform(EYE2, ("x", "y"), (("g", (0, 1)),)))
 
     def test_round_trip(self):
         t = chain_collective_basis(2)
@@ -92,7 +118,9 @@ class TestOrthogonalTransform:
             lambda: chain_collective_basis(4),
             switch_collective_basis,
             lambda: lattice_collective_basis(TWO_VERTEX),
-            lambda: OrthogonalTransform(np.eye(3)[::-1], ("x", "y", "z"), (("g", (0, 1, 2)),)),
+            lambda: OrthogonalTransform(
+                _nonzeros(np.eye(3)[::-1]), ("x", "y", "z"), (("g", (0, 1, 2)),)
+            ),
         ],
     )
     def test_products_use_the_nonzeros_of_the_matrix(self, make):
@@ -100,9 +128,10 @@ class TestOrthogonalTransform:
         rng = np.random.default_rng(3)
         vec = rng.normal(size=t.dim) + 1j * rng.normal(size=t.dim)
         samples = rng.normal(size=(t.dim, 5))
-        assert np.abs(t.to_collective(vec) - t.matrix @ vec).max() <= 1e-15
-        assert np.abs(t.from_collective(vec) - t.matrix.T @ vec).max() <= 1e-15
-        assert np.abs(t.to_collective(samples) - t.matrix @ samples).max() <= 1e-15
+        q = _dense(t)
+        assert np.abs(t.to_collective(vec) - q @ vec).max() <= 1e-15
+        assert np.abs(t.from_collective(vec) - q.T @ vec).max() <= 1e-15
+        assert np.abs(t.to_collective(samples) - q @ samples).max() <= 1e-15
 
 
 class TestChainBasis:
@@ -110,7 +139,8 @@ class TestChainBasis:
     def test_orthogonality(self, n):
         t = chain_collective_basis(n)
         assert t.dim == 2 * (3 * n + 1)
-        assert np.allclose(t.matrix @ t.matrix.T, np.eye(t.dim), atol=1e-14)
+        q = _dense(t)
+        assert np.allclose(q @ q.T, np.eye(t.dim), atol=1e-14)
 
     def test_a_thousand_units_decompose_from_the_nonzeros(self):
         # 6002 modes: a dense 6002 x 6002 Q or H would hold more than 2**24 elements
@@ -249,9 +279,9 @@ class TestResiduals:
         assert residual == pytest.approx(np.sqrt(2.0) * RESONANT.j, rel=1e-12)
 
     def test_decompose_rejects_dim_mismatch(self):
-        h = build_single_excitation_hamiltonian(build_diamond_chain(2))
-        with pytest.raises(ValueError):
-            block_decompose(h, chain_collective_basis(3))
+        h = build_single_excitation_hamiltonian(build_diamond_chain(3), entries=True)
+        with pytest.raises(ValueError, match=r"entries must be integer rows and cols in \[0, 13\]"):
+            block_decompose(h, chain_collective_basis(2))
 
 
 @st.composite
@@ -294,7 +324,8 @@ def networks_with_bases(draw):
 @given(case=networks_with_bases())
 def test_every_basis_is_orthonormal_and_splits_into_blocks(case):
     spec, t = case
-    assert np.allclose(t.matrix @ t.matrix.T, np.eye(t.dim), rtol=0.0, atol=1e-14)
+    q = _dense(t)
+    assert np.allclose(q @ q.T, np.eye(t.dim), rtol=0.0, atol=1e-14)
     assert sorted(i for _, idx in t.groups for i in idx) == list(range(t.dim))
     assert len(t.labels) == t.dim
     _, residual = _decompose(spec, t)
@@ -340,7 +371,8 @@ def chains_and_brick_walls(draw):
 
 def _dense_decompose(h, t):
     """The blocks and the off-block residual of the dense product ``Q H Q^T``."""
-    hc = t.matrix @ h @ t.matrix.T
+    q = _dense(t)
+    hc = q @ h @ q.T
     owner = np.empty(t.dim, dtype=int)
     for group, (_, idx) in enumerate(t.groups):
         owner[list(idx)] = group
@@ -355,15 +387,13 @@ def test_sparse_blocks_agree_with_the_dense_product(case, flip):
     h = build_single_excitation_hamiltonian(spec)
     tolerance = 1e-12 * max(1.0, float(np.abs(h).max()))
     dense_blocks, dense_residual = _dense_decompose(h, t)
-    # the entries, and a dense H read through its nonzeros
-    for entries in (build_single_excitation_hamiltonian(spec, entries=True), h):
-        blocks, residual = block_decompose(entries, t)
-        assert [(b.name, b.labels) for b in blocks] == [
-            (name, tuple(t.labels[k] for k in idx)) for name, idx in t.groups
-        ]
-        for block, dense in zip(blocks, dense_blocks):
-            assert np.abs(block.matrix - dense).max() <= tolerance
-        assert abs(residual - dense_residual) <= tolerance
+    blocks, residual = block_decompose(build_single_excitation_hamiltonian(spec, True), t)
+    assert [(b.name, b.labels) for b in blocks] == [
+        (name, tuple(t.labels[k] for k in idx)) for name, idx in t.groups
+    ]
+    for block, dense in zip(blocks, dense_blocks):
+        assert np.abs(block.matrix - dense).max() <= tolerance
+    assert abs(residual - dense_residual) <= tolerance
     if spec.edges:  # one flipped sign breaks the invariant subspaces on both paths
         k, l, sign = spec.edges[flip % len(spec.edges)]
         edges = tuple((a, b, -s if (a, b) == (k, l) else s) for a, b, s in spec.edges)

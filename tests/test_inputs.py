@@ -16,6 +16,7 @@ from cavity_route import (
     ExcitationState,
     HexLatticeDescriptor,
     NetworkSpec,
+    OrthogonalTransform,
     PhaseFlip,
     PhaseShift,
     Schedule,
@@ -46,8 +47,11 @@ CHAIN_SCHEDULE = chain_routing_schedule(1, 1.0, 1.0)
 STATE = ExcitationState.excitation(4, 1)
 
 
-def _track(row):
-    return lambda: run_schedule(CHAIN, CHAIN_SCHEDULE, samples_per_window=2, track=[("x", row)])
+EYE2 = (np.arange(2), np.arange(2), np.ones(2))  # the nonzeros of the 2 x 2 identity
+
+
+def _track(*mode):
+    return lambda: run_schedule(CHAIN, CHAIN_SCHEDULE, samples_per_window=2, track=[mode])
 
 
 # (argument the message must name, call); every call here was accepted, misread
@@ -90,18 +94,38 @@ MALFORMED = {
         "samples_per_window",
         lambda: run_schedule(CHAIN, CHAIN_SCHEDULE, samples_per_window=3.0),
     ),
-    "track-negative-row": ("track row", _track(-1)),
-    "track-bool-row": ("track row", _track(True)),
-    "track-row-past-end": ("track row", _track(999)),
-    "track-int-label": (
-        "track labels",
-        lambda: run_schedule(CHAIN, CHAIN_SCHEDULE, samples_per_window=2, track=[(5, 1)]),
-    ),
+    "track-negative-row": ("track mode", _track(-1, "atom")),
+    "track-bool-row": ("track mode", _track(True, "atom")),
+    "track-row-past-end": ("track mode", _track(4, "cavity")),
+    # the kind also names the trace column, so it must be 'cavity' or 'atom'
+    "track-int-label": ("track mode", _track(1, 5)),
     "schedule-float-step": ("steps", lambda: Schedule((1.0,), (0, "atom"), (3, "atom"))),
     "hex-string-path": ("path", lambda: hex_routing_schedule(TWO_VERTEX, "ab", 1.0, 1.0)),
     "entangle-str-compensate": (
         "compensate",
         lambda: entanglement_transfer(CHAIN, CHAIN_SCHEDULE, compensate="no"),
+    ),
+    # these raised AttributeError, TypeError, IndexError or an unnamed unpack error
+    "spec-int-sites": ("sites", lambda: NetworkSpec((5,), ())),
+    "spec-none-sites": ("sites", lambda: NetworkSpec(None, ())),
+    "transform-int-labels": ("labels", lambda: OrthogonalTransform(EYE2, 5, (("g", (0, 1)),))),
+    "transform-float-group-rows": (
+        "group row",
+        lambda: OrthogonalTransform(EYE2, ("x", "y"), (("g", (0.0, 1.0)),)),
+    ),
+    "transform-group-without-rows": (
+        "groups",
+        lambda: OrthogonalTransform(EYE2, ("x", "y"), (("g",),)),
+    ),
+    "schedule-int-source": ("source", lambda: Schedule((Evolve(1.0),), 5, (3, "atom"))),
+    "schedule-triple-source": (
+        "source",
+        lambda: Schedule((Evolve(1.0),), (0, "atom", 1), (3, "atom")),
+    ),
+    "track-triple-mode": ("track mode", _track(0, "atom", 1)),
+    "track-int": (
+        "track",
+        lambda: run_schedule(CHAIN, CHAIN_SCHEDULE, samples_per_window=2, track=0),
     ),
 }
 
@@ -179,7 +203,7 @@ NUMPY_SCALARS = {
     "run-final-amplitude": (
         lambda: run_schedule(CHAIN, CHAIN_SCHEDULE, samples_per_window=3).final_amplitude,
         lambda: run_schedule(
-            CHAIN, CHAIN_SCHEDULE, samples_per_window=I(3), track=[("x", I(1))]
+            CHAIN, CHAIN_SCHEDULE, samples_per_window=I(3), track=[(I(0), "atom")]
         ).final_amplitude,
     ),
 }

@@ -33,3 +33,15 @@ def test_import_loads_numpy_only():
     out = subprocess.run([sys.executable, "-c", probe, *names], env=env, capture_output=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.decode().split() == ["numpy"]
+
+
+def test_readme_quick_tour_prints_what_its_comments_say(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```")[0]
+    namespace = {}
+    exec(tour, namespace)
+    printed = capsys.readouterr().out.splitlines()
+    shown = [f"{namespace[name]:.6f}" for name in ("t1", "t2")]
+    shown += [f"{float(printed[0]):.6f}", printed[1]]
+    assert shown == ["2.223149", "3.141407", "0.999705", "[4, 6, 6, 4] 0.0"]
+    assert all(f"# {value}\n" in tour for value in shown)

@@ -33,6 +33,7 @@ from cavity_route import (
     local_phase_flip,
     photon_population,
     run_schedule,
+    site_population,
     switch_collective_basis,
     switch_port_flip,
     switch_schedule,
@@ -282,18 +283,26 @@ class TestRunSchedule:
         assert trace.populations.shape == (trace.num_samples, 2)
         assert trace.populations[0, 0] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("label", ["a,b", "a|b", "a\nb", "a\r", "a\u2028b"])
-    def test_track_label_cannot_break_the_csv(self, label):
-        spec, sched = self._spec_and_schedule()
-        with pytest.raises(ValueError, match="track labels"):
-            run_schedule(spec, sched, samples_per_window=2, track=[(label, 1)])
+    @pytest.mark.parametrize(
+        "target, labels",
+        [((3, "atom"), ("cavity[1]", "atom[4]")), ((3, "cavity"), ("cavity[1]", "cavity[4]"))],
+    )
+    def test_default_track_labels_name_the_kind(self, target, labels):
+        # a cavity source or target was once labelled atom[...]
+        spec = build_diamond_chain(1, RESONANT)
+        schedule = Schedule((Evolve(1.0),), (0, "cavity"), target)
+        trace = run_schedule(spec, schedule, samples_per_window=5)
+        assert trace.labels == labels
+        assert trace.populations[0].tolist() == pytest.approx([1.0, 0.0], abs=1e-15)
 
     def test_custom_track(self):
         spec, sched = self._spec_and_schedule()
-        trace = run_schedule(
-            spec, sched, samples_per_window=5, track=[("cav[1]", 0), ("atom[4]", 7)]
-        )
-        assert trace.labels == ("cav[1]", "atom[4]")
+        track = [(k, "cavity") for k in range(3)] + [(3, "atom")]
+        trace = run_schedule(spec, sched, samples_per_window=5, track=track)
+        assert trace.labels == ("cavity[1]", "cavity[2]", "cavity[3]", "atom[4]")
+        final = trace.final_state
+        expected = [site_population(final, site, kind) for site, kind in track]
+        assert trace.populations[-1].tolist() == pytest.approx(expected, abs=1e-15)
 
     def test_rejects_undersampled_window(self):
         spec, sched = self._spec_and_schedule()
@@ -572,7 +581,9 @@ class TestRunScheduleRefusals:
         spec = build_diamond_chain(1, RESONANT)  # 8 modes
         q = np.eye(spec.dim)
         q[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # cavity and atom of site 0
-        basis = OrthogonalTransform(q, tuple("abcdefgh"), (("all", tuple(range(8))),))
+        rows, cols = np.nonzero(q)
+        groups = (("all", tuple(range(8))),)
+        basis = OrthogonalTransform((rows, cols, q[rows, cols]), tuple("abcdefgh"), groups)
         with pytest.raises(ValueError, match="basis row 'a' mixes cavity and atom modes"):
             run_schedule(spec, chain_routing_schedule(1, T_END, T_MID), basis=basis)
         assert windows == []
