@@ -52,6 +52,7 @@ import numpy as np
 
 from .closed_form import validate_analytic
 from .collective import (
+    _one_block,
     _residual_bound,
     block_decompose,
     chain_collective_basis,
@@ -60,7 +61,6 @@ from .collective import (
     switch_collective_basis,
 )
 from .evolution import (
-    _as_matrix,
     _window,
     auto_grid_points,
     eigendecompose,
@@ -146,7 +146,7 @@ def _find_peak(h, source: int, target: int, args, cfg: dict, params: SystemParam
     window = _search_window(args, cfg, params)  # checked before h is decomposed, as a given grid
     grid = _lookup(args.grid, cfg, "grid")
     for name, mode in (("source", source), ("target", target)):  # so are the modes
-        _count(mode, name, 0, _as_matrix(h).shape[0] - 1)
+        _count(mode, name, 0, h.dim - 1)
     if grid is None:  # one decomposition sizes the grid and runs the search
         h = eigendecompose(h)
         grid = auto_grid_points(h, window)
@@ -237,7 +237,7 @@ def _cmd_blocks(args) -> int:
     cfg = _load_config(args.config)
     params = _config_params(cfg)
     spec, transform = _network_and_basis(cfg, params)
-    h = build_single_excitation_hamiltonian(spec, entries=True)
+    h = build_single_excitation_hamiltonian(spec)
     blocks, residual = block_decompose(h, transform)
     _check_finite(residual=residual, blocks=np.concatenate([b.matrix.ravel() for b in blocks]))
     if args.out:  # written before the report, so a failed write prints nothing
@@ -263,7 +263,7 @@ def _cmd_transfer_time(args) -> int:
         spec = NetworkSpec.from_json_dict(raw)
         if args.source is None or args.target is None:
             raise ConfigError("custom topology needs --source and --target mode indices")
-        h = build_single_excitation_hamiltonian(spec)
+        (h,), _ = block_decompose(build_single_excitation_hamiltonian(spec), _one_block(spec.dim))
         params = spec.params
         source, target = args.source, args.target
     else:

@@ -45,15 +45,22 @@ def _residual_bound(values: np.ndarray) -> float:
     return 1e-12 * max(1.0, float(np.abs(values).max(initial=0.0)))
 
 
-def _nonzeros(m, dim: int, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros ``m = (rows, cols, values)`` of a ``dim x dim`` matrix, as arrays."""
+def _nonzeros(m, dim: int, what: str, diagonal: bool = False):
+    """The nonzeros ``m = (rows, cols, values)`` of a ``dim x dim`` matrix, as arrays.
+
+    With ``diagonal``, ``m`` lists its whole diagonal, whose length is its own size: rows and
+    cols must lie below it, and another size than ``dim`` is refused.
+    """
     if not (isinstance(m, tuple) and len(m) == 3):
         raise ValueError(f"{what} entries must be (rows, cols, values), not {type(m).__name__}")
     rows, cols, values = (np.asarray(part) for part in m)
     ok = rows.shape == cols.shape == values.shape == (rows.size,)
+    size = int(np.count_nonzero(rows == cols)) if ok and diagonal else dim
     ids = np.concatenate([rows, cols]) if ok else rows
-    if not (ok and ids.dtype.kind == "i" and np.all((0 <= ids) & (ids < dim))):
-        raise ValueError(f"{what} entries must be integer rows and cols in [0, {dim - 1}]")
+    if not (ok and ids.dtype.kind == "i" and np.all((0 <= ids) & (ids < size))):
+        raise ValueError(f"{what} entries must be integer rows and cols in [0, {size - 1}]")
+    if size != dim:
+        raise ValueError(f"a {size}-mode {what} does not match the {dim}-mode basis")
     return rows.astype(np.intp), cols.astype(np.intp), values.astype(float)
 
 
@@ -187,6 +194,11 @@ def _transform(groups: list[tuple[str, Modes]]) -> OrthogonalTransform:
     return OrthogonalTransform(entries, tuple(label for label, _ in modes), index)
 
 
+def _one_block(dim: int) -> OrthogonalTransform:
+    """The ``dim`` modes as their own collective modes, all in one block: the whole matrix."""
+    return _transform([("network", [(str(m), {m: 1.0}) for m in range(dim)])])
+
+
 def chain_collective_basis(n: int) -> OrthogonalTransform:
     """Collective basis of the diamond chain with ``n`` units.
 
@@ -266,13 +278,14 @@ def lattice_collective_basis(desc: HexLatticeDescriptor) -> OrthogonalTransform:
 def block_decompose(h, transform: OrthogonalTransform) -> tuple[list[BlockHamiltonian], float]:
     """The blocks of ``Q H Q^T`` along ``transform.groups``, and the off-block residual.
 
-    ``h`` is the nonzeros ``(rows, cols, values)`` of H, as its builder lists them.
-    Element ``(r, s)`` sums ``Q[r, c] H[c, k] Q[s, k]`` over the entries of H and the rows of Q
-    holding ``c`` and ``k``: ``O(nnz)`` terms.  The residual is the largest ``|element|`` outside
-    every block.  Blocks or terms above ``ARRAY_BUDGET`` elements raise ``ValueError``.
+    ``h`` is the nonzeros ``(rows, cols, values)`` of H, as its builder lists them: an H whose
+    diagonal is longer or shorter than the basis raises ``ValueError``.  Element ``(r, s)``
+    sums ``Q[r, c] H[c, k] Q[s, k]`` over the entries of H and the rows of Q holding ``c`` and
+    ``k``: ``O(nnz)`` terms.  The residual is the largest ``|element|`` outside every block.
+    Blocks or terms above ``ARRAY_BUDGET`` elements raise ``ValueError``.
     """
     dim = transform.dim
-    rows, cols, values = _nonzeros(h, dim, "hamiltonian")
+    rows, cols, values = _nonzeros(h, dim, "hamiltonian", diagonal=True)
     owner, slot, base, ends = transform._layout
     index, coefs = transform._columns  # per mode: the rows of Q that hold it
     if max(ends[-1], rows.size * coefs.shape[1] ** 2) > ARRAY_BUDGET:
@@ -292,13 +305,6 @@ def block_decompose(h, transform: OrthogonalTransform) -> tuple[list[BlockHamilt
         return blocks, 0.0
     _, element = np.unique(r[outside] * dim + s[outside], return_inverse=True)
     return blocks, float(np.abs(np.bincount(element, terms[outside])).max())
-
-
-def _cell_row(params: SystemParams, kappa: float, cells: int) -> np.ndarray:
-    """``cells`` identical atom-cavity cells in a row; neighbouring cavities hop with ``kappa``."""
-    sites = tuple(Site(id=cell, label=str(cell)) for cell in range(cells))
-    edges = tuple((cell, cell + 1, 1) for cell in range(cells - 1))
-    return build_single_excitation_hamiltonian(NetworkSpec(sites, edges, replace(params, j=kappa)))
 
 
 #: Block name -> (cells in the row, coupling scale).  The cavity-cavity
@@ -337,7 +343,15 @@ def extract_block(params: SystemParams, which: str) -> BlockHamiltonian:
     transfer-time searches without assembling a whole network.
     """
     cells, kappa = _block_kind(params, which)
-    matrix = _cell_row(params, kappa, cells)
+    # a row of identical cells whose neighbouring cavities hop with kappa; its 4-6 modes are
+    # scattered here, at a fraction of the cost of a transform
+    sites = tuple(Site(id=cell, label=str(cell)) for cell in range(cells))
+    edges = tuple((cell, cell + 1, 1) for cell in range(cells - 1))
+    rows, cols, values = build_single_excitation_hamiltonian(
+        NetworkSpec(sites, edges, replace(params, j=kappa))
+    )
+    matrix = np.zeros((2 * cells, 2 * cells))
+    matrix[rows, cols] = values
     labels = tuple(f"{tag}{cell}" for cell in range(cells) for tag in ("cav", "atom"))
     return BlockHamiltonian(matrix=matrix, labels=labels, name=which)
 

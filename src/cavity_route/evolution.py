@@ -60,12 +60,6 @@ _GRID_FLOOR = 20001
 _WEIGHT_FLOOR = 1e-3
 
 
-def _as_matrix(h: np.ndarray | BlockHamiltonian) -> np.ndarray:
-    if isinstance(h, BlockHamiltonian):
-        return h.matrix
-    return np.asarray(h, dtype=float)
-
-
 @dataclass(frozen=True)
 class ExcitationState:
     """Single-excitation amplitudes plus a coherent vacuum component.
@@ -139,7 +133,7 @@ def eigendecompose(h: np.ndarray | BlockHamiltonian) -> Spectrum:
 
     Raises ``ValueError`` for non-square or non-symmetric input.
     """
-    m = _as_matrix(h)
+    m = h.matrix if isinstance(h, BlockHamiltonian) else np.asarray(h, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"hamiltonian must be square, got shape {m.shape}")
     if float(np.abs(m - np.swapaxes(m, -1, -2)).max()) > _residual_bound(m):
@@ -200,24 +194,23 @@ def _amp_on_grid(weights: np.ndarray, eigenvalues: np.ndarray, times: np.ndarray
 
 def _uniform_rows(
     weights: np.ndarray, eigenvalues: np.ndarray, t_lo: float, step: float, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grid ``t_lo + i step``, ``i < n``, as ladder rows ``heads[r] @ ladder`` (cut at point
-    ``n``), and a ``bound`` that no ``F`` of row ``r`` exceeds: one per row, or one for all."""
+    ``n``), and ``bound[r]``, which no ``F`` of row ``r`` exceeds."""
     # point i = r m + c has phase lambda (t_lo + r m step) + lambda c step: head r times rung c,
     # so the n points cost ~2 sqrt(n) dim exponentials
     m, phase = math.isqrt(n) + 1, -1j * eigenvalues
     heads = np.exp(np.outer(t_lo + np.arange(-(-n // m)) * (m * step), phase)) * weights
     ladder = np.exp(np.outer(phase, np.arange(m) * step))
     # |A| <= |row head sum| + sum |w_k| min(2, |lambda_k - center| (m - 1) step) and <= sum |w|,
-    # center the |w|-weighted median (the mean falls between dispersive clusters); the heads are
-    # the scan's own, so the slack covers only rounding; plain floats beat numpy on a few values.
+    # center the |w|-weighted median (the mean falls between dispersive clusters), so a reach of
+    # sum |w| bounds every row alike; the heads are the scan's own, so the slack covers only
+    # rounding; plain floats beat numpy on a few values.
     span, size, lam = (m - 1) * step, np.abs(weights).tolist(), eigenvalues.tolist()
     total = sum(size)
     center = lam[bisect.bisect_left(list(itertools.accumulate(size)), total / 2)]  # eigh sorts lam
     reach = sum(w * min(2.0, abs(x - center) * span) for w, x in zip(size, lam))
     slack = 8 * np.finfo(float).eps * total * (len(lam) + 4 + max(map(abs, lam)) * span)
-    if reach >= total:  # one bound for all rows: none can be skipped
-        return heads, ladder, (total + slack) ** 2
     return heads, ladder, np.square(np.minimum(abs(heads.sum(1)) + reach, total) + slack)
 
 
@@ -229,7 +222,7 @@ def _maxima(f: np.ndarray) -> np.ndarray:
 
 def _rows_to_scan(heads, ladder, bound, n: int) -> list:
     """Runs ``(first, stop)`` of the rows whose ``bound`` reaches the band below a grid maximum."""
-    if isinstance(bound, float) or not bound.min() < bound.max() - _CANDIDATE_BAND:
+    if not bound.min() < bound.max() - _CANDIDATE_BAND:  # a uniform bound skips no row
         return [(0, heads.shape[0])]
     near = max(0, int(np.argmax(abs(heads.sum(1)))) - 1)  # the largest head sum and neighbours
     seed_rows = [(near, min(near + 3, bound.size))]

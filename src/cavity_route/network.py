@@ -63,9 +63,9 @@ HADAMARD_SIGNS = (
 
 SITE_ROLES = ("vertex", "control", "port", "upload", "plain")
 
-#: Most elements any one array may hold, checked before allocating: a scan grid,
-#: one evolution window (``dim x samples``), or a dense Hamiltonian (``dim x
-#: dim``).  2**24 float64 are 128 MB; the dispersive scan (~772k) is < 5%.
+#: Most elements any one array may hold, checked before allocating: the points of a scan
+#: grid, one evolution window (``dim x samples``), or the blocks of a decomposition, a
+#: whole network's one block included.  2**24 float64 are 128 MB.
 ARRAY_BUDGET = 2**24
 
 #: Types that ``_count`` and ``_real`` accept; bool, an int subclass, is refused by identity.
@@ -518,16 +518,14 @@ def build_hex_lattice(
     return NetworkSpec(sites=layout.sites, edges=layout.edges, params=params or SystemParams())
 
 
-def build_single_excitation_hamiltonian(spec: NetworkSpec, entries: bool = False):
-    """Real symmetric Hamiltonian of ``spec`` in the single-excitation sector.
+def build_single_excitation_hamiltonian(spec: NetworkSpec):
+    """Nonzeros ``(rows, cols, values)`` of the real symmetric ``2M x 2M`` Hamiltonian of
+    ``spec`` in the single-excitation sector: each element once, every diagonal element listed.
 
     ``omega_c`` on cavity rows, ``omega_c - delta`` on atom rows, ``g`` between each site's
-    cavity and atom, ``sign * j`` between edge cavities.  Returns the ``(2M, 2M)`` float64
-    matrix, refused above ``ARRAY_BUDGET`` elements; with ``entries=True``, its nonzeros
-    ``(rows, cols, values)`` instead, each element once, in ``O(M + edges)`` work and memory.
+    cavity and atom, ``sign * j`` between edge cavities, in ``O(M + edges)`` work and memory.
+    A whole network's matrix is the one block of a one-block basis (``block_decompose``).
     """
-    if not isinstance(entries, bool):
-        raise ValueError(f"entries must be a bool, got {entries!r}")
     p, sites = spec.params, np.arange(spec.num_sites)
     k, l, sign = np.array(spec.edges, dtype=np.intp).reshape(-1, 3).T
     c, a, ck, cl = cavity_index(sites), atom_index(sites), cavity_index(k), cavity_index(l)
@@ -535,11 +533,4 @@ def build_single_excitation_hamiltonian(spec: NetworkSpec, entries: bool = False
     cols = np.concatenate([c, a, a, c, cl, ck])
     on_site = np.repeat([p.omega_c, p.omega_a, p.g, p.g], spec.num_sites)
     values = np.concatenate([on_site, sign * p.j, sign * p.j])
-    if entries:
-        return rows, cols, values
-    dim = spec.dim
-    if dim * dim > ARRAY_BUDGET:
-        raise ValueError(f"a {dim}-mode Hamiltonian exceeds the budget of {ARRAY_BUDGET} elements")
-    h = np.zeros((dim, dim))
-    h[rows, cols] = values
-    return h
+    return rows, cols, values

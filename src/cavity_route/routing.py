@@ -25,9 +25,9 @@ import numpy as np
 
 from .collective import (
     OrthogonalTransform,
+    _one_block,
     _residual_bound,
     _sparse_product,
-    _transform,
     block_decompose,
 )
 from .evolution import ExcitationState, _evolve, _phases, eigendecompose
@@ -335,11 +335,8 @@ def run_schedule(
     modes = np.array(modes, dtype=int)  # an index array even when empty
     labels = tuple(f"{kind}[{spec.sites[site].label}]" for site, kind in track)
 
-    h = build_single_excitation_hamiltonian(spec, entries=True)
-    if basis is None:  # every mode is its own collective mode, all in one block
-        basis = _transform([("network", [(str(m), {m: 1.0}) for m in range(spec.dim)])])
-    if basis.dim != spec.dim:
-        raise ValueError(f"basis dim {basis.dim} does not match network dim {spec.dim}")
+    h = build_single_excitation_hamiltonian(spec)
+    basis = _one_block(spec.dim) if basis is None else basis
     blocks, residual = block_decompose(h, basis)
     if not residual <= _residual_bound(h[2]):
         raise ValueError(f"basis does not block-diagonalize the network: residual {residual:.3e}")

@@ -18,3 +18,15 @@ def pytest_report_header(config):
     import numpy
 
     return f"numpy {numpy.__version__}, OPENBLAS_CORETYPE={os.environ['OPENBLAS_CORETYPE']}"
+
+
+def dense_hamiltonian(spec):
+    """The dense H of ``spec``, scattered from the nonzeros its builder lists."""
+    import numpy
+
+    from cavity_route import build_single_excitation_hamiltonian
+
+    rows, cols, values = build_single_excitation_hamiltonian(spec)
+    h = numpy.zeros((spec.dim, spec.dim))
+    h[rows, cols] = values
+    return h

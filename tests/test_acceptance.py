@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import dense_hamiltonian
 from cavity_route import (
     DISPERSIVE,
     RESONANT,
@@ -85,7 +86,7 @@ def test_criterion_01_block_structure():
         )
     )
     for name, spec, transform in cases:
-        h = build_single_excitation_hamiltonian(spec, entries=True)
+        h = build_single_excitation_hamiltonian(spec)
         _, residual = block_decompose(h, transform)
         print(f"criterion 1 [{name}]: residual={residual:.3e} (<= 1e-12)")
         assert residual <= 1e-12, f"{name}: residual {residual:.3e} above 1e-12"
@@ -178,7 +179,7 @@ def test_criterion_07_switch_steering():
     """Each port flip steers the uploaded state to its port; no cross-talk."""
     t = transfer_time("upload", dispersive=False).t_star
     spec = build_switch(RESONANT)
-    spectrum = eigendecompose(build_single_excitation_hamiltonian(spec))
+    spectrum = eigendecompose(dense_hamiltonian(spec))
     # the uploaded collective atom state the flips act on
     amps = np.zeros(spec.dim, dtype=complex)
     for site in (4, 5, 6, 7):
@@ -214,7 +215,7 @@ def test_criterion_08_hex_lattice_routing():
 
     # block-side replay: evolve under the block-diagonal part only
     transform = lattice_collective_basis(TWO_VERTEX)
-    h = build_single_excitation_hamiltonian(spec)
+    h = dense_hamiltonian(spec)
     q = np.zeros_like(h)  # the dense Q, scatter-added from its nonzeros
     np.add.at(q, transform.entries[:2], transform.entries[2])
     hc = q @ h @ q.T
@@ -270,7 +271,7 @@ def test_criterion_09_entanglement_transfer():
 def test_criterion_10_property_suite():
     """Unitarity, composition, double flip, expm oracle, encoding freedom."""
     # unitarity: norm drift per evolution step
-    h = build_single_excitation_hamiltonian(build_diamond_chain(3, DISPERSIVE))
+    h = dense_hamiltonian(build_diamond_chain(3, DISPERSIVE))
     spectrum = eigendecompose(h)
     state = ExcitationState.excitation(20, 1)
     worst_drift = 0.0
@@ -302,8 +303,8 @@ def test_criterion_10_property_suite():
     oracles = [
         extract_block(RESONANT, "end").matrix,
         extract_block(DISPERSIVE, "mid").matrix,
-        build_single_excitation_hamiltonian(build_diamond_chain(1, RESONANT)),
-        build_single_excitation_hamiltonian(build_switch(DISPERSIVE)),
+        dense_hamiltonian(build_diamond_chain(1, RESONANT)),
+        dense_hamiltonian(build_switch(DISPERSIVE)),
     ]
     worst_oracle = 0.0
     for hm in oracles:

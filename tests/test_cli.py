@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import dense_hamiltonian
 from cavity_route.cli import main
 
 PARAMS = {"omega_c": 1.0, "delta": 0.0, "g": 65.0, "j": 1.0}
@@ -195,11 +196,7 @@ class TestTransferTime:
         assert abs(t_star - 1.5948) / 1.5948 <= 0.03
 
     def test_custom_topology_full_network(self, tmp_path, capsys):
-        from cavity_route import (
-            NetworkSpec,
-            build_single_excitation_hamiltonian,
-            find_transfer_time,
-        )
+        from cavity_route import NetworkSpec, find_transfer_time
 
         # two coupled cells: atom-to-atom transfer across one hop
         network = {
@@ -217,10 +214,25 @@ class TestTransferTime:
         )
         assert code == 0
         fields = dict(kv.split("=") for kv in out.split())
-        h = build_single_excitation_hamiltonian(NetworkSpec.from_json_dict(network))
+        h = dense_hamiltonian(NetworkSpec.from_json_dict(network))
         expected = find_transfer_time(h, 1, 3)
         assert float(fields["t_star"]) == pytest.approx(expected.t_star, abs=1e-9)
         assert float(fields["fidelity"]) == pytest.approx(expected.fidelity, abs=1e-12)
+
+    def test_custom_network_over_the_budget(self, tmp_path, capsys, monkeypatch):
+        # 2049 sites: one block of 4098 x 4098 modes is over ARRAY_BUDGET (2**24 = 4096**2)
+        def eigh(*_):
+            raise AssertionError("eigendecomposition before the budget check")
+
+        monkeypatch.setattr("numpy.linalg.eigh", eigh)
+        sites = [{"id": i, "label": str(i)} for i in range(2049)]
+        network = {"sites": sites, "edges": [[0, 1, 1]], "params": PARAMS}
+        cfg = write_config(tmp_path, "c.json", {"topology": "custom", "network": network})
+        argv = ["transfer-time", "--config", cfg, "--source", "1", "--target", "3"]
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (2, "")
+        message = "a 4098-mode block decomposition exceeds the budget of 16777216"
+        assert err == f"config error: {message}\n"
 
     def test_custom_topology_needs_indices(self, tmp_path, capsys):
         cfg = write_config(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_hamiltonian
 from cavity_route import (
     DISPERSIVE,
     RESONANT,
@@ -25,6 +26,7 @@ from cavity_route import (
     run_schedule,
     switch_collective_basis,
 )
+from cavity_route.collective import _one_block
 from cavity_route.evolution import ExcitationState, eigendecompose, propagate
 from cavity_route.routing import Evolve, Schedule
 
@@ -34,8 +36,7 @@ TWO_VERTEX = HexLatticeDescriptor(
 
 
 def _decompose(spec, transform):
-    h = build_single_excitation_hamiltonian(spec, entries=True)
-    return block_decompose(h, transform)
+    return block_decompose(build_single_excitation_hamiltonian(spec), transform)
 
 
 def _nonzeros(m):
@@ -146,7 +147,7 @@ class TestChainBasis:
         # 6002 modes: a dense 6002 x 6002 Q or H would hold more than 2**24 elements
         t = chain_collective_basis(1000)
         assert t.entries[0].size == 2 * 1001 + 8 * 1000
-        h = build_single_excitation_hamiltonian(build_diamond_chain(1000), entries=True)
+        h = build_single_excitation_hamiltonian(build_diamond_chain(1000))
         blocks, residual = block_decompose(h, t)
         assert [b.dim for b in blocks] == [4] + [6] * 999 + [4]
         assert residual == 0.0
@@ -279,9 +280,15 @@ class TestResiduals:
         assert residual == pytest.approx(np.sqrt(2.0) * RESONANT.j, rel=1e-12)
 
     def test_decompose_rejects_dim_mismatch(self):
-        h = build_single_excitation_hamiltonian(build_diamond_chain(3), entries=True)
-        with pytest.raises(ValueError, match=r"entries must be integer rows and cols in \[0, 13\]"):
+        h = build_single_excitation_hamiltonian(build_diamond_chain(3))
+        with pytest.raises(ValueError, match="^a 20-mode hamiltonian does not match the 14-mode"):
             block_decompose(h, chain_collective_basis(2))
+
+    def test_decompose_rejects_a_smaller_hamiltonian(self):
+        # rows and cols all lie inside the basis: only the diagonal tells the sizes apart
+        h = build_single_excitation_hamiltonian(build_diamond_chain(2))
+        with pytest.raises(ValueError, match="^a 14-mode hamiltonian does not match the 20-mode"):
+            block_decompose(h, chain_collective_basis(3))
 
 
 @st.composite
@@ -384,10 +391,10 @@ def _dense_decompose(h, t):
 @given(case=chains_and_brick_walls(), flip=st.integers(0, 10**6))
 def test_sparse_blocks_agree_with_the_dense_product(case, flip):
     spec, t, kind = case
-    h = build_single_excitation_hamiltonian(spec)
+    h = dense_hamiltonian(spec)
     tolerance = 1e-12 * max(1.0, float(np.abs(h).max()))
     dense_blocks, dense_residual = _dense_decompose(h, t)
-    blocks, residual = block_decompose(build_single_excitation_hamiltonian(spec, True), t)
+    blocks, residual = block_decompose(build_single_excitation_hamiltonian(spec), t)
     assert [(b.name, b.labels) for b in blocks] == [
         (name, tuple(t.labels[k] for k in idx)) for name, idx in t.groups
     ]
@@ -398,8 +405,8 @@ def test_sparse_blocks_agree_with_the_dense_product(case, flip):
         k, l, sign = spec.edges[flip % len(spec.edges)]
         edges = tuple((a, b, -s if (a, b) == (k, l) else s) for a, b, s in spec.edges)
         broken = dataclasses.replace(spec, edges=edges)
-        _, residual = block_decompose(build_single_excitation_hamiltonian(broken, True), t)
-        _, dense_residual = _dense_decompose(build_single_excitation_hamiltonian(broken), t)
+        _, residual = block_decompose(build_single_excitation_hamiltonian(broken), t)
+        _, dense_residual = _dense_decompose(dense_hamiltonian(broken), t)
         assert residual > 0.1 * spec.params.j
         assert abs(residual - dense_residual) <= tolerance
         if kind == "chain":  # a control pair and a vertex meet with sqrt(2) j across blocks
@@ -422,7 +429,51 @@ def test_one_block_run_is_the_dense_propagation(spec, t, ends):
     source, target = (end % spec.num_sites for end in ends)
     schedule = Schedule((Evolve(t),), (source, "atom"), (target, "cavity"))
     trace = run_schedule(spec, schedule, samples_per_window=2)
-    spectrum = eigendecompose(build_single_excitation_hamiltonian(spec))
+    spectrum = eigendecompose(dense_hamiltonian(spec))
     expected = propagate(spectrum, ExcitationState.excitation(spec.dim, 2 * source + 1), t)
     # the same eigenvectors and eigenvalues; exp of a longer time vector may round differently
     assert np.abs(trace.final_state.amps - expected.amps).max() <= 1e-12
+
+
+@st.composite
+def small_networks(draw):
+    """Chains, switches, one-vertex lattices and custom networks of 1-9 sites, with random edge
+    signs; on-site terms of 0, -0.0 or large, detunings of either sign."""
+    onsite = st.sampled_from([0.0, -0.0, 1.0, -1e6, 1e6])
+    positive = st.sampled_from([1e-3, 1.0, 65.0, 1e6])
+    params = SystemParams(
+        omega_c=draw(onsite),
+        delta=draw(st.sampled_from([0.0, -0.0, -1.0, -1000.0, -1e6, 1000.0])),
+        g=draw(positive),
+        j=draw(positive),
+    )
+    kind = draw(st.sampled_from(["chain", "switch", "lattice", "custom"]))
+    if kind == "chain":
+        spec = build_diamond_chain(draw(st.integers(1, 2)), params)  # 4 or 7 sites
+    elif kind == "switch":
+        spec = build_switch(params)
+    elif kind == "lattice":  # one vertex: 4 inner and 4 outer sites
+        uploads = draw(st.sampled_from([(), ("v",)]))
+        spec = build_hex_lattice(HexLatticeDescriptor(("v",), (), uploads), params)
+    else:
+        m = draw(st.integers(1, 9))
+        pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        sites = tuple(Site(id=i, label=f"s{i}") for i in range(m))
+        spec = NetworkSpec(sites, tuple((k, l, 1) for k, l in chosen), params)
+    signs = [draw(st.sampled_from([1, -1])) for _ in spec.edges]
+    edges = tuple((k, l, sign) for (k, l, _), sign in zip(spec.edges, signs))
+    return dataclasses.replace(spec, edges=edges)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(spec=small_networks())
+def test_the_one_block_is_the_whole_matrix(spec):
+    (block,), residual = block_decompose(
+        build_single_excitation_hamiltonian(spec), _one_block(spec.dim)
+    )
+    expected = dense_hamiltonian(spec)
+    assert block.matrix.shape == expected.shape
+    # every element equal: a nonzero bit for bit, a zero perhaps with the other sign
+    assert np.array_equal(block.matrix, expected)
+    assert residual == 0.0

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import dense_hamiltonian
 from cavity_route import (
     DISPERSIVE,
     RESONANT,
@@ -16,7 +17,6 @@ from cavity_route import (
     SystemParams,
     auto_grid_points,
     build_diamond_chain,
-    build_single_excitation_hamiltonian,
     build_switch,
     eigendecompose,
     extract_block,
@@ -150,12 +150,12 @@ class TestPropagate:
 
     @pytest.mark.parametrize("t", [0.1, 2.2231, 17.0, 266.53])
     def test_norm_preserved(self, t):
-        h = build_single_excitation_hamiltonian(build_diamond_chain(3, DISPERSIVE))
+        h = dense_hamiltonian(build_diamond_chain(3, DISPERSIVE))
         s = propagate(eigendecompose(h), ExcitationState.excitation(20, 1), t)
         assert abs(s.norm_sq - 1.0) <= 1e-12
 
     def test_composition(self):
-        h = build_single_excitation_hamiltonian(build_diamond_chain(2))
+        h = dense_hamiltonian(build_diamond_chain(2))
         spectrum = eigendecompose(h)
         s0 = ExcitationState.excitation(14, 1)
         once = propagate(spectrum, s0, 3.7)
@@ -174,8 +174,8 @@ class TestPropagate:
         [
             lambda: extract_block(RESONANT, "end").matrix,
             lambda: extract_block(DISPERSIVE, "mid").matrix,
-            lambda: build_single_excitation_hamiltonian(build_diamond_chain(1)),
-            lambda: build_single_excitation_hamiltonian(build_switch(DISPERSIVE)),
+            lambda: dense_hamiltonian(build_diamond_chain(1)),
+            lambda: dense_hamiltonian(build_switch(DISPERSIVE)),
         ],
     )
     def test_against_matrix_exponential(self, make):
@@ -265,7 +265,7 @@ class TestFindTransferTime:
         newton = evolution._newton_peaks
         monkeypatch.setattr(evolution, "_newton_peaks", counted)
         spec = NetworkSpec(sites=(Site(0, "a"), Site(1, "b")), edges=(), params=DISPERSIVE)
-        h = build_single_excitation_hamiltonian(spec)
+        h = dense_hamiltonian(spec)
         window = (0.0, 600.0)
         n = auto_grid_points(h, window)
         r = find_transfer_time(h, 1, 3, window=window, grid_points=n)

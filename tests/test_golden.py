@@ -1,7 +1,8 @@
 """Golden output of every CLI subcommand: stdout, exit code and output-file bytes.
 
 The cases are the README configs in both regimes, mostly with explicit
-times; each protocol also has one resonant ``"times": "auto"`` case.  The
+times; each protocol also has one resonant ``"times": "auto"`` case, and
+``transfer-time`` also searches a small ``custom`` network.  The
 expected output lives in ``golden/cli.json``.  After a change that is meant
 to alter output, regenerate it with
 ``OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_golden.py`` and
@@ -36,6 +37,11 @@ HEX3 = {
     "links": [["a", 1, "b", 1], ["b", 2, "c", 3]],
     "uploads": ["a", "c"],
 }
+# a three-site custom network: the search runs on its whole Hamiltonian
+CUSTOM = {
+    "sites": [{"id": i, "label": f"s{i + 1}"} for i in range(3)],
+    "edges": [[0, 1, 1], [1, 2, -1]],
+}
 OUT = "{out}"  # replaced by a temporary file path
 
 
@@ -50,6 +56,10 @@ def _switch(params, **protocol):
 
 def _hex(params, **protocol):
     return {"topology": "hex_lattice", "descriptor": HEX, "params": params, "protocol": protocol}
+
+
+def _custom(params):
+    return {"topology": "custom", "network": {**CUSTOM, "params": params}}
 
 
 def _cases():
@@ -87,6 +97,12 @@ def _cases():
     cases["transfer-time-upload-disp"] = ("transfer-time", cfg, [])
     cfg = {"params": RES, "block": "hop", "window": [0.5, 4.0], "grid": 5001}
     cases["transfer-time-window-grid"] = ("transfer-time", cfg, [])
+    ends = ["--source", "1", "--target", "5"]  # the first atom to the last
+    cases["transfer-time-custom-res"] = ("transfer-time", _custom(RES), ends)
+    flags = [*ends, "--grid", "300001"]
+    cases["transfer-time-custom-disp-grid"] = ("transfer-time", _custom(DISP), flags)
+    cfg = _custom({**RES, "omega_c": -0.0})
+    cases["transfer-time-custom-negative-zero"] = ("transfer-time", cfg, ends)
     # one auto-times case per protocol, resonant so the searches stay cheap
     cases["simulate-auto"] = ("simulate", _chain(3, RES, "auto"), ["--out", OUT, "--samples", "11"])
     cfg = _chain(2, RES, "auto", window=[0.0, 5.0], grid=8001)

@@ -14,6 +14,7 @@ from cavity_route import (
     Site,
     SystemParams,
     atom_index,
+    block_decompose,
     build_diamond_chain,
     build_hex_lattice,
     build_single_excitation_hamiltonian,
@@ -21,6 +22,7 @@ from cavity_route import (
     cavity_index,
     hex_lattice_layout,
 )
+from cavity_route.collective import _one_block
 
 
 class TestSystemParams:
@@ -171,24 +173,29 @@ class TestNetworkSpecValidation:
         assert set(data["params"]) == {"omega_c", "delta", "g", "j"}
 
 
+def _elements(spec):
+    """``{(row, col): value}`` of the nonzeros the builder lists for ``spec``."""
+    rows, cols, values = build_single_excitation_hamiltonian(spec)
+    return dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist()))
+
+
 class TestHamiltonian:
     def test_shape_and_symmetry(self):
-        spec = build_diamond_chain(2)
-        h = build_single_excitation_hamiltonian(spec)
-        assert h.shape == (14, 14)
-        assert np.array_equal(h, h.T)
+        rows, cols, _ = build_single_excitation_hamiltonian(build_diamond_chain(2))
+        assert max(rows.max(), cols.max()) == 13 and np.count_nonzero(rows == cols) == 14
+        h = _elements(build_diamond_chain(2))
+        assert h == {(c, r): value for (r, c), value in h.items()}
 
     def test_onsite_and_coupling_entries(self):
         params = SystemParams(omega_c=2.0, delta=-3.0, g=7.0, j=1.5)
-        spec = build_diamond_chain(1, params)
-        h = build_single_excitation_hamiltonian(spec)
+        h = _elements(build_diamond_chain(1, params))
         for i in range(4):
             assert h[2 * i, 2 * i] == params.omega_c
             assert h[2 * i + 1, 2 * i + 1] == params.omega_a
             assert h[2 * i, 2 * i + 1] == params.g
         assert h[0, 2] == params.j  # +j hop
         assert h[4, 6] == -params.j  # the signed hop
-        assert h[1, 3] == 0.0  # atoms never couple directly
+        assert (1, 3) not in h  # atoms never couple directly
 
     @pytest.mark.parametrize(
         "spec",
@@ -196,10 +203,11 @@ class TestHamiltonian:
             build_diamond_chain(3, SystemParams(omega_c=2.0, delta=-3.0, g=7.0, j=1.5)),
             build_switch(DISPERSIVE),
             NetworkSpec((Site(id=0, label="alone"),), (), RESONANT),  # no edges
+            build_diamond_chain(1, SystemParams(omega_c=0.0, delta=0.0)),  # a zero diagonal
         ],
     )
     def test_entries_name_every_element_once(self, spec):
-        rows, cols, values = build_single_excitation_hamiltonian(spec, entries=True)
+        rows, cols, values = build_single_excitation_hamiltonian(spec)
         # the reference: two on-site terms and one g pair per site, one signed j pair per edge
         expected = {}
         for site in spec.sites:
@@ -209,23 +217,13 @@ class TestHamiltonian:
         for k, l, sign in spec.edges:
             hop = sign * spec.params.j
             expected.update({(2 * k, 2 * l): hop, (2 * l, 2 * k): hop})
-        assert dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist())) == expected
+        assert _elements(spec) == expected
         assert rows.size == len(expected)
-        h = np.zeros((spec.dim, spec.dim))
-        h[rows, cols] = values
-        assert np.array_equal(build_single_excitation_hamiltonian(spec), h)
-
-    @pytest.mark.parametrize("entries", [1, None, "yes"])
-    def test_entries_flag_must_be_a_bool(self, entries):
-        with pytest.raises(ValueError, match="entries must be a bool"):
-            build_single_excitation_hamiltonian(build_switch(), entries)
+        assert sorted(rows[rows == cols].tolist()) == list(range(spec.dim))  # the whole diagonal
 
     def test_no_cavity_atom_cross_site_terms(self):
-        h = build_single_excitation_hamiltonian(build_switch())
-        for k in range(8):
-            for l in range(8):
-                if k != l:
-                    assert h[2 * k, 2 * l + 1] == 0.0
+        h = _elements(build_switch())
+        assert not [(r, c) for r, c in h if r % 2 == 0 and c % 2 == 1 and r // 2 != c // 2]
 
 
 class TestHexDescriptor:
@@ -372,10 +370,12 @@ class TestHexLayout:
         # the shared link site must contribute a single omega_c, not two
         desc = self._two_vertex()
         spec = build_hex_lattice(desc, RESONANT)
-        h = build_single_excitation_hamiltonian(spec)
+        rows, cols, values = build_single_excitation_hamiltonian(spec)
         assert spec.dim == 30
-        assert np.allclose(np.diag(h)[0::2], RESONANT.omega_c)
-        assert np.allclose(np.diag(h)[1::2], RESONANT.omega_a)
+        on_site = rows == cols
+        assert sorted(rows[on_site].tolist()) == list(range(30))  # each diagonal element once
+        expected = np.where(rows[on_site] % 2, RESONANT.omega_a, RESONANT.omega_c)
+        assert np.array_equal(values[on_site], expected)
 
     # a link first met at its second-listed end, and two links joining one vertex pair
     @example(HexLatticeDescriptor(("a", "b"), (("b", 2, "a", 1), ("a", 3, "b", 3)), ("a",)))
@@ -460,8 +460,11 @@ class TestMalformedInput:
             HexLatticeDescriptor.from_json_dict(json.loads(json.dumps(data)))
 
     def test_hamiltonian_above_budget(self, monkeypatch):
-        monkeypatch.setattr("cavity_route.network.ARRAY_BUDGET", 16 * 16)
-        build_single_excitation_hamiltonian(build_switch())  # 16 modes, at the limit
-        monkeypatch.setattr("cavity_route.network.ARRAY_BUDGET", 16 * 16 - 1)
-        with pytest.raises(ValueError, match="budget"):
-            build_single_excitation_hamiltonian(build_switch())
+        # a whole network's matrix is its one block: 16 modes at the limit, 18 above it
+        monkeypatch.setattr("cavity_route.collective.ARRAY_BUDGET", 16 * 16)
+        switch = build_switch()
+        (block,), _ = block_decompose(build_single_excitation_hamiltonian(switch), _one_block(16))
+        assert block.dim == 16
+        spec = NetworkSpec((*switch.sites, Site(id=8, label="extra")), switch.edges)
+        with pytest.raises(ValueError, match="^a 18-mode block decomposition exceeds the budget"):
+            block_decompose(build_single_excitation_hamiltonian(spec), _one_block(18))
