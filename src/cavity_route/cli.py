@@ -32,7 +32,8 @@ Config layout::
     }
 
 ``window`` and ``grid`` come from the flag (``--tmax`` gives ``[0, tmax]``),
-else the top-level key, else ``protocol.<key>``, for every subcommand; the
+else the top-level key, else ``protocol.<key>``, for every subcommand (the
+default window is 1.05 periods of the block's slow transfer envelope); the
 samples per window and the trace path from ``--samples``/``--out``, else
 ``output``.  Booleans, non-numbers, nan/inf and out-of-range values are
 config errors.  ``transfer-time`` takes one of the four block names ``end``,
@@ -61,6 +62,7 @@ from .collective import (
     switch_collective_basis,
 )
 from .evolution import (
+    _default_window,
     _window,
     auto_grid_points,
     eigendecompose,
@@ -133,22 +135,16 @@ def _config_params(cfg: dict) -> SystemParams:
         raise ConfigError(f"bad params: {exc}") from exc
 
 
-def _search_window(args, cfg: dict, params: SystemParams) -> tuple[float, float]:
-    window = (0.0, args.tmax) if args.tmax is not None else _lookup(None, cfg, "window")
-    if window is None:
-        # dispersive transfers are slower by a factor ~|delta|/g
-        window = (0.0, 10.0) if abs(params.delta) <= params.g else (0.0, 600.0)
-    return _window(window)
-
-
-def _find_peak(h, source: int, target: int, args, cfg: dict, params: SystemParams):
-    """Transfer peak over the configured window, on the configured or auto grid."""
-    window = _search_window(args, cfg, params)  # checked before h is decomposed, as a given grid
+def _find_peak(h, source: int, target: int, args, cfg: dict):
+    """Transfer peak over the configured or default window, on the configured or auto grid."""
+    window = _lookup(None if args.tmax is None else (0.0, args.tmax), cfg, "window")
+    window = None if window is None else _window(window)  # checked before h is decomposed
     grid = _lookup(args.grid, cfg, "grid")
     for name, mode in (("source", source), ("target", target)):  # so are the modes
         _count(mode, name, 0, h.dim - 1)
-    if grid is None:  # one decomposition sizes the grid and runs the search
+    if grid is None:  # one decomposition sizes the window and the grid and runs the search
         h = eigendecompose(h)
+        window = window or _default_window(h, source, target)
         grid = auto_grid_points(h, window)
     return find_transfer_time(h, source, target, window=window, grid_points=grid)
 
@@ -264,7 +260,6 @@ def _cmd_transfer_time(args) -> int:
         if args.source is None or args.target is None:
             raise ConfigError("custom topology needs --source and --target mode indices")
         (h,), _ = block_decompose(build_single_excitation_hamiltonian(spec), _one_block(spec.dim))
-        params = spec.params
         source, target = args.source, args.target
     else:
         params = _config_params(cfg)
@@ -272,7 +267,7 @@ def _cmd_transfer_time(args) -> int:
         # first atom to last atom of the block
         source = args.source if args.source is not None else 1
         target = args.target if args.target is not None else h.dim - 1
-    result = _find_peak(h, source, target, args, cfg, params)
+    result = _find_peak(h, source, target, args, cfg)
     _check_finite(**result._asdict())
     print(" ".join(f"{key}={value:.12g}" for key, value in result._asdict().items()))
     fidelity = result.fidelity
@@ -381,7 +376,7 @@ def _protocol_times(args, cfg: dict, params: SystemParams, protocol: _Protocol):
         found = []
         for which in protocol.blocks:
             block = extract_block(params, which)
-            found.append(_find_peak(block, 1, block.dim - 1, args, cfg, params).t_star)
+            found.append(_find_peak(block, 1, block.dim - 1, args, cfg).t_star)
         names = " ".join(f"{name}={t:.12g}" for name, t in zip(protocol.times, found))
         return tuple(found), f"times {names}"
     if len(protocol.times) == 1 and not isinstance(times, list):

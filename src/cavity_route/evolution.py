@@ -55,9 +55,12 @@ _GRID_PER_PERIOD = 8
 _GRID_FLOOR = 20001
 
 #: Bohr frequencies enter the envelope-period estimate only if the
-#: corresponding pair of spectral weights is at least this fraction of the
-#: largest weight product.
+#: corresponding pair of spectral weights is more than this fraction of the
+#: largest weight product (so never a product that underflowed to 0).
 _WEIGHT_FLOOR = 1e-3
+
+#: A search without a window spans this many periods of the slow transfer envelope.
+_WINDOW_PERIODS = 1.05
 
 
 @dataclass(frozen=True)
@@ -348,18 +351,24 @@ def _envelope_period(weights: np.ndarray, eigenvalues: np.ndarray) -> float:
     """
     w = np.abs(np.outer(weights, weights))
     i, j = np.triu_indices(eigenvalues.shape[0], 1)
-    gaps = np.abs(eigenvalues[i] - eigenvalues[j])[w[i, j] >= _WEIGHT_FLOOR * float(w.max())]
+    gaps = np.abs(eigenvalues[i] - eigenvalues[j])[w[i, j] > _WEIGHT_FLOOR * float(w.max())]
     gaps = gaps[gaps > 1e-9 * max(1.0, float(np.abs(eigenvalues).max()))]
-    if gaps.size == 0:
-        return float("inf")
-    return 2.0 * np.pi / float(gaps.min())
+    return 2.0 * np.pi / float(gaps.min()) if gaps.size else float("inf")
+
+
+def _default_window(spectrum: Spectrum, source: int, target: int) -> tuple[float, float]:
+    """``(0, _WINDOW_PERIODS P)``, ``P`` the ``_envelope_period`` of the source-target weights."""
+    period = _envelope_period(_transition_weights(spectrum, source, target), spectrum.eigenvalues)
+    if period == np.inf:
+        raise ValueError("no beat carries the transfer; give a search window")
+    return 0.0, _WINDOW_PERIODS * period
 
 
 def find_transfer_time(
     h: np.ndarray | BlockHamiltonian | Spectrum,
     source: int,
     target: int,
-    window: tuple[float, float] = (0.0, 10.0),
+    window: tuple[float, float] | None = None,
     grid_points: int | None = None,
 ) -> TransferResult:
     """Locate the transfer peak of ``F(t) = |<target| exp(-i H t) |source>|^2``.
@@ -382,9 +391,10 @@ def find_transfer_time(
         Real symmetric Hamiltonian, or its eigendecomposition.
     source, target : int
         Basis indices of the prepared and the read-out mode.
-    window : (float, float)
+    window : (float, float), optional
         Search interval ``(lo, hi)``: a list, tuple or array of two finite
-        numbers with ``0 <= lo < hi``.
+        numbers with ``0 <= lo < hi``; by default ``(0, 1.05 P)``, ``P`` the
+        envelope period, refused where no beat carries spectral weight.
     grid_points : int, optional
         Scan resolution, at most ``ARRAY_BUDGET`` points; by default
         ``auto_grid_points`` of the spectrum.  On a grid that resolves the
@@ -398,17 +408,18 @@ def find_transfer_time(
         ``(t_star, fidelity, phase)`` with ``phase = arg <target|psi(t*)>``,
         which the entanglement protocol compensates downstream.
     """
-    t_lo, t_hi = _window(window)
-    if grid_points is not None:  # a given grid is refused before any eigendecomposition
+    window = None if window is None else _window(window)  # a given window and grid are
+    if grid_points is not None:  # refused before any eigendecomposition
         grid_points = _count(grid_points, "grid_points", 3, ARRAY_BUDGET)
     spectrum = _spectrum(h)
-    grid_points = grid_points or auto_grid_points(spectrum, window)
+    t_lo, t_hi = window or _default_window(spectrum, source, target)
+    grid_points = grid_points or auto_grid_points(spectrum, (t_lo, t_hi))
     weights = _transition_weights(spectrum, source, target)
     step = (t_hi - t_lo) / (grid_points - 1)  # as np.linspace has it
     heads, ladder, bound = _uniform_rows(weights, spectrum.eigenvalues, t_lo, step, grid_points)
     runs = _rows_to_scan(heads, ladder, bound, grid_points)
     chunks = _uniform_chunks(heads, ladder, grid_points, runs)
-    peaks, f_grid, a_grid = _scan_peaks(chunks, grid_points, window)
+    peaks, f_grid, a_grid = _scan_peaks(chunks, grid_points, (t_lo, t_hi))
     t_grid, lo, hi = _grid_times(peaks + np.array([[0], [-1], [1]]), t_lo, t_hi, grid_points)
     t_new = _newton_peaks(weights, spectrum.eigenvalues, t_grid, lo, hi)
     a_new = _amp_on_grid(weights, spectrum.eigenvalues, t_new)
@@ -417,9 +428,9 @@ def find_transfer_time(
     t_peak, a_peak = np.where(better, t_new, t_grid), np.where(better, a_new, a_grid)
     f_peak = np.abs(a_peak) ** 2
 
-    horizon = t_lo + _envelope_period(weights, spectrum.eigenvalues)
+    period = _envelope_period(weights, spectrum.eigenvalues) if window else t_hi / _WINDOW_PERIODS
     # inside the first envelope period if any is, then the highest, then the earliest
-    k = np.lexsort((t_peak, -f_peak, t_peak > horizon))[0]
+    k = np.lexsort((t_peak, -f_peak, t_peak > t_lo + period))[0]
     return TransferResult(float(t_peak[k]), float(f_peak[k]), float(np.angle(a_peak[k])))
 
 

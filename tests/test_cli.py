@@ -186,6 +186,24 @@ class TestTransferTime:
         assert code == 2 and err.startswith("config error: ")
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "block, t_star",
+        [
+            ("end", "1055.18623079"),
+            ("mid", "1492.25531806"),
+            ("upload", "746.12765825"),
+            ("hop", "1055.18622969"),
+        ],
+    )
+    def test_window_from_the_envelope_at_larger_detuning(self, tmp_path, capsys, block, t_star):
+        # the former (0, 600) window cut these transfers: t* about 599.7, F 0.12-0.91, exit 0
+        cfg = write_config(tmp_path, "c.json", {"params": {**DISP_PARAMS, "delta": -2000.0}})
+        code, out, _ = run_main(capsys, ["transfer-time", "--config", cfg, "--block", block])
+        assert code == 0
+        fields = dict(kv.split("=") for kv in out.split())
+        assert fields["t_star"] == t_star
+        assert float(fields["fidelity"]) > 0.9999
+
     def test_block_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"block": "end", "params": PARAMS})
         code, out, _ = run_main(
@@ -302,6 +320,16 @@ class TestSimulate:
         assert lines[-2].startswith("# times t1=")
         t1 = float(lines[-2].split("t1=")[1].split()[0])
         assert t1 == pytest.approx(T1, abs=1e-6)
+
+    def test_auto_times_at_larger_detuning(self, tmp_path, capsys):
+        # both times once sat on the edge of (0, 600), and the fidelity read 0.0055 with exit 0
+        params = {**DISP_PARAMS, "delta": -2000.0}
+        cfg, _ = self._config(tmp_path, n=3, params=params, protocol={"times": "auto"})
+        code, out, _ = run_main(capsys, ["simulate", "--config", cfg, "--samples", "2"])
+        assert code == 0
+        report, resolved = out.splitlines()
+        assert resolved == "times t1=1055.18623079 t2=1492.25531806"
+        assert float(report.split()[1].split("=")[1]) > 0.999
 
     def test_dispersive_trace_photon_bound(self, tmp_path, capsys):
         data = {
@@ -647,6 +675,11 @@ class TestConfigContract:
             # once t_star=-2.22314941144 and exit 0: the mirror image of the peak at t > 0
             ("transfer-time", _with(CHAIN, n=3, window=[-5, 5]), ["--block", "end"]),
             ("route", _with(ROUTE, protocol__path=["a", "b", "a"]), []),
+            # the default window's grid is over the budget, or no beat carries the transfer
+            ("transfer-time", {"params": {"delta": -3000}}, []),
+            ("transfer-time", {"params": {"delta": -5000}}, []),
+            ("transfer-time", {"params": {"g": 1e300}}, []),
+            ("transfer-time", {"params": {"delta": -1e7}}, []),
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capsys, command, cfg, flags):

@@ -291,9 +291,18 @@ SEARCH_PAIRS = {"end": (1, 3), "mid": (1, 5), "upload": (1, 3), "hop": (1, 5)}
 
 @st.composite
 def near_resonant_blocks(draw):
-    """A block at random params with ``|delta| <= g``, where the CLI searches (0, 10)."""
+    """A block at random params with ``|delta| <= g``, searched over (0, 10)."""
     g = draw(st.floats(20.0, 100.0))
     params = SystemParams(delta=g * draw(st.floats(-1.0, 1.0)), g=g, j=draw(st.floats(0.5, 2.0)))
+    block = draw(st.sampled_from(sorted(SEARCH_PAIRS)))
+    return extract_block(params, block), SEARCH_PAIRS[block]
+
+
+@st.composite
+def dispersive_blocks(draw):
+    """A block at random params with ``g`` 40-90, ``j`` 0.5-1.5 and ``delta`` -1500 to -300."""
+    g, j = draw(st.floats(40.0, 90.0)), draw(st.floats(0.5, 1.5))
+    params = SystemParams(delta=draw(st.floats(-1500.0, -300.0)), g=g, j=j)
     block = draw(st.sampled_from(sorted(SEARCH_PAIRS)))
     return extract_block(params, block), SEARCH_PAIRS[block]
 
@@ -328,6 +337,25 @@ class TestSearchProperties:
         fine = find_transfer_time(h, 1, 3, window=window, grid_points=2 * n - 1)
         assert abs(fine.t_star - r.t_star) <= 1e-9
 
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(case=dispersive_blocks())
+    @example(case=(extract_block(SystemParams(delta=-1500.0, g=40.0, j=0.5), "mid"), (1, 5)))
+    def test_default_window_finds_the_first_period_peak(self, case):
+        # the default window ends 0.05 periods past the first; twice it, 2.1 periods, on the
+        # same grid step (so the wide grid starts with the default one), finds the same peak
+        h, (source, target) = case
+        spectrum = eigendecompose(h)
+        window = evolution._default_window(spectrum, source, target)
+        try:
+            r = find_transfer_time(spectrum, source, target)
+        except ValueError as exc:  # the default grid is over the budget
+            assert "budget" in str(exc)
+            return
+        n = min(2 * auto_grid_points(spectrum, window) - 1, ARRAY_BUDGET)
+        wide = find_transfer_time(spectrum, source, target, (0.0, 2 * window[1]), grid_points=n)
+        assert abs(wide.t_star - r.t_star) <= 1e-9 * r.t_star
+        assert abs(wide.fidelity - r.fidelity) <= 1e-12
+
 
 @st.composite
 def uniform_grids(draw):
@@ -354,7 +382,8 @@ def uniform_grids(draw):
     return weights, spectrum.eigenvalues, t_lo, span / (n - 1), n
 
 
-#: ``find_transfer_time`` on the CLI's auto grids, pinned under the BLAS kernel of ``conftest.py``.
+#: ``find_transfer_time`` over (0, 10) and (0, 600) on their auto grids, pinned under the BLAS
+#: kernel of ``conftest.py``; the CLI prints the same 12 digits from its default windows.
 PINNED_AUTO_SEARCHES = {
     ("resonant", "end"): (2.2231494114374115, 0.9999985414671586, 2.489239568947271),
     ("resonant", "mid"): (3.141406793527768, 0.9998539897742122, -3.1414067935277714),
@@ -396,14 +425,18 @@ class TestUniformScan:
     @pytest.mark.parametrize("regime, block", sorted(PINNED_AUTO_SEARCHES))
     def test_auto_search_matches_pinned(self, regime, block):
         params, t_max = {"resonant": (RESONANT, 10.0), "dispersive": (DISPERSIVE, 600.0)}[regime]
-        window = (0.0, t_max)  # the CLI's default window
+        window = (0.0, t_max)
         h = extract_block(params, block)
         n = auto_grid_points(h, window)
-        r = find_transfer_time(h, *SEARCH_PAIRS[block], window=window, grid_points=n)
+        given = find_transfer_time(h, *SEARCH_PAIRS[block], window=window, grid_points=n)
+        # the default window, (0, 1.05 P) on its own auto grid, finds the same peak; the
+        # former default (0, 10) gave the dispersive end block t_star = 9.994 and F = 0.004
+        default = find_transfer_time(h, *SEARCH_PAIRS[block])
         t_star, fidelity, phase = PINNED_AUTO_SEARCHES[regime, block]
-        assert abs(r.t_star - t_star) <= 1e-12
-        assert abs(r.fidelity - fidelity) <= 1e-12
-        assert abs(np.angle(np.exp(1j * (r.phase - phase)))) <= 1e-12
+        for r in (given, default):
+            assert abs(r.t_star - t_star) <= 1e-12
+            assert abs(r.fidelity - fidelity) <= 1e-12
+            assert abs(np.angle(np.exp(1j * (r.phase - phase)))) <= 1e-12
 
 
 def one_shot_peaks(amp):
@@ -665,8 +698,10 @@ class TestAutoGridPoints:
             auto_grid_points(extract_block(RESONANT, "end"), (1.0, 1.0))
 
     def test_default_dispersive_grid_well_inside_budget(self):
-        n = auto_grid_points(extract_block(DISPERSIVE, "end"), (0.0, 600.0))
-        assert 700_000 < n < ARRAY_BUDGET / 10
+        spectrum = eigendecompose(extract_block(DISPERSIVE, "end"))
+        window = evolution._default_window(spectrum, 1, 3)  # 1.05 envelope periods
+        assert window == pytest.approx((0.0, 559.0608935900))
+        assert 700_000 < auto_grid_points(spectrum, window) < ARRAY_BUDGET / 10
 
     @pytest.mark.parametrize(
         "params, window",
@@ -676,6 +711,24 @@ class TestAutoGridPoints:
         # compared as a float: no OverflowError from an infinite point count
         with pytest.raises(ValueError, match="budget"):
             auto_grid_points(extract_block(params, "end"), window)
+
+
+class TestDefaultWindow:
+    def test_underflowed_weight_products_carry_no_beat(self):
+        # every weight is about 1.4e-300, so every product of two is 0: once all pairs were
+        # kept, and the carrier's 6.3e-300 came back as the envelope period
+        spectrum = eigendecompose(extract_block(SystemParams(delta=1e300), "end"))
+        weights = evolution._transition_weights(spectrum, 1, 3)
+        assert 0 < np.abs(weights).max() < 1e-290
+        assert evolution._envelope_period(weights, spectrum.eigenvalues) == np.inf
+
+    def test_no_beat_is_refused(self):
+        # two decoupled sites: every weight is 0, so no window comes from the spectrum
+        spec = NetworkSpec(sites=(Site(0, "a"), Site(1, "b")), edges=(), params=DISPERSIVE)
+        h = dense_hamiltonian(spec)
+        with pytest.raises(ValueError, match="no beat carries the transfer; give a search window"):
+            find_transfer_time(h, 1, 3)
+        assert find_transfer_time(h, 1, 3, window=(0.0, 1.0)).fidelity == 0.0
 
 
 class TestSearchGuards:
