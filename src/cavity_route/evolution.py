@@ -41,13 +41,16 @@ __all__ = [
 #: ladder rows as fit in ``_CHUNK`` points, at least one.
 _CHUNK = 65536
 
-#: Refined peaks are kept while scanning if their grid fidelity is within
-#: this band of the grid maximum; generous on purpose, the final choice is
-#: made on refined values.
+#: The scan keeps the grid maxima within this band of the grid maximum as
+#: candidates; generous on purpose, the final choice is made on refined values,
+#: and only candidates whose bracket bound reaches the pick are refined.
 _CANDIDATE_BAND = 5e-3
 
-#: Newton steps per candidate; three reach rounding level on auto_grid_points grids.
+#: Newton steps, the first from the bracket bound's block; three reach rounding on auto grids.
 _NEWTON_STEPS = 5
+
+#: A pool of at most this many candidates is refined whole: bounding it costs more than it saves.
+_WHOLE_POOL = 64
 
 #: ``auto_grid_points`` samples the fastest Bohr period this often, on at least
 #: ``_GRID_FLOOR`` points.
@@ -181,17 +184,19 @@ def propagate(spectrum: Spectrum, state: ExcitationState, t: float) -> Excitatio
     return ExcitationState(amps=amps, vac=state.vac)
 
 
-def _amp_on_grid(weights: np.ndarray, eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _amp_on_grid(weights: np.ndarray, eigenvalues: np.ndarray, times, rows=None) -> np.ndarray:
     """``sum_k w_k exp(-i lambda_k t)`` for every t, ``_CHUNK`` points at a time.
 
     ``weights`` may carry trailing columns; each gives one column of the result.
+    A mask ``rows`` evaluates just those rows, rounded as in the whole product (the rest is junk).
     """
     times = np.asarray(times, dtype=float)
     out = np.empty((times.shape[0], *weights.shape[1:]), dtype=complex)
     for start in range(0, times.shape[0], _CHUNK):
-        # no name for the exp block: it must be freed before the next chunk's
-        chunk = times[start : start + _CHUNK]
-        out[start : start + _CHUNK] = np.exp(np.outer(chunk, -1j * eigenvalues)) @ weights
+        phase = times[start : start + _CHUNK, None] * (-1j * eigenvalues)  # exp'd in place
+        where = True if rows is None else rows[start : start + _CHUNK, None]
+        out[start : start + _CHUNK] = np.exp(phase, out=phase, where=where) @ weights
+        del phase  # freed before the next chunk's is formed
     return out
 
 
@@ -312,22 +317,50 @@ def site_population(state: ExcitationState, site: int, kind: str) -> float:
     return state.population(_mode((site, kind), state.dim // 2, "population mode"))
 
 
-def _newton_peaks(
-    weights: np.ndarray, eigenvalues: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Newton on ``F'(t) = 0`` from all grid maxima ``t`` at once; returns the new times.
+def _newton_peaks(derivatives, eigenvalues: np.ndarray, brackets, block) -> np.ndarray:
+    """Newton on ``F'(t) = 0`` from the grid maxima of ``brackets = t, lo, hi``; returns new times.
 
-    ``F'/2 = Re(conj(A) A')`` and ``F''/2 = |A'|^2 + Re(conj(A) A'')`` come from one
-    ``_amp_on_grid`` per step; a candidate moves only where ``F'' < 0``, inside ``[lo, hi]``.
+    ``F'/2 = Re(conj(A) A')`` and ``F''/2 = |A'|^2 + Re(conj(A) A'')`` come from ``block`` at ``t``,
+    then one ``_amp_on_grid`` per step; a candidate moves only where ``F'' < 0``, in its bracket.
     """
-    derivatives = np.stack([weights, -1j * eigenvalues * weights, -eigenvalues**2 * weights], 1)
-    for _ in range(_NEWTON_STEPS):
-        a, a1, a2 = _amp_on_grid(derivatives, eigenvalues, t).T
+    t, lo, hi = brackets
+    for step in range(_NEWTON_STEPS):
+        a, a1, a2 = (_amp_on_grid(derivatives, eigenvalues, t) if step else block).T
         slope = (a.conj() * a1).real
         curvature = np.abs(a1) ** 2 + (a.conj() * a2).real
-        shift = np.divide(slope, curvature, out=np.zeros_like(slope), where=curvature < 0)
-        t = np.clip(t - shift, lo, hi)
+        shift = np.divide(slope, curvature, out=np.zeros(slope.shape), where=curvature < 0)
+        t = np.minimum(np.maximum(t - shift, lo), hi)
     return t
+
+
+def _bracket_bounds(weights, eigenvalues, brackets):
+    """Newton's columns ``A, A', A''``, their block at the grid times ``t``, and from it a ceiling
+    on ``F`` over each bracket ``[lo, hi]`` (``inf`` for a pool refined whole).
+
+    The block also holds ``E_c, E_c'`` per cluster ``c``, a run of the spectrum split at gaps over
+    0.1 of its spread.  ``G_c = |E_c|^2`` has ``|G_c''| <= K_c = 2 W_c S_c``, the sums over ``c``
+    of ``|w|`` and ``|w| (lambda - mean)^2``, so no ``F`` within ``d`` of ``t`` exceeds
+    ``(sum_c sqrt(G_c + |G_c'| d + K_c d^2 / 2))^2``.
+    """
+    t, lo, hi = brackets
+    lam, w = eigenvalues[:, None], weights[:, None]
+    derivatives = np.concatenate([w, -1j * lam * w, -lam**2 * w], 1)
+    if t.size <= _WHOLE_POOL:
+        return derivatives, _amp_on_grid(derivatives, eigenvalues, t), np.full(t.size, np.inf)
+    gaps = (eigenvalues[1:] - eigenvalues[:-1] > 0.1 * (eigenvalues[-1] - eigenvalues[0])).tolist()
+    member = np.equal.outer([0, *itertools.accumulate(gaps)], range(sum(gaps) + 1))
+    size = np.abs(weights)[:, None] * member  # |w_k| in the column of k's cluster
+    total = size.sum(0)
+    centre = eigenvalues @ size / np.maximum(total, np.finfo(float).tiny)
+    curvature = total * (np.square(eigenvalues[:, None] - centre) * size).sum(0)  # K_c / 2
+    columns = np.concatenate([derivatives, w * member, derivatives[:, 1:2] * member], 1)
+    block, k = _amp_on_grid(columns, eigenvalues, t), total.size
+    e, e1, d = block[:, 3 : 3 + k], block[:, 3 + k :], np.maximum(t - lo, hi - t)[:, None]
+    reach = np.sqrt(np.square(np.abs(e)) + d * (2 * np.abs((e.conj() * e1).real) + d * curvature))
+    # capped at (sum |w|)^2; phases round at eps lambda t, as in _uniform_rows
+    cap, turn = total.sum(), abs(lam).max() * abs(brackets).max()
+    slack = 8 * np.finfo(float).eps * cap * (lam.size + 4 + turn)
+    return derivatives, block[:, :3], np.square(np.minimum(reach.sum(1), cap) + slack)
 
 
 def _window(window) -> tuple[float, float]:
@@ -349,9 +382,9 @@ def _envelope_period(weights: np.ndarray, eigenvalues: np.ndarray) -> float:
     by the smallest such frequency with non-negligible weight.  Returns
     ``inf`` when no resolvable beat exists.
     """
-    w = np.abs(np.outer(weights, weights))
-    i, j = np.triu_indices(eigenvalues.shape[0], 1)
-    gaps = np.abs(eigenvalues[i] - eigenvalues[j])[w[i, j] > _WEIGHT_FLOOR * float(w.max())]
+    w, index = np.abs(np.outer(weights, weights)), np.arange(eigenvalues.shape[0])
+    upper = np.less.outer(index, index) & (w > _WEIGHT_FLOOR * float(w.max()))  # pairs i < j
+    gaps = np.abs(np.subtract.outer(eigenvalues, eigenvalues))[upper]
     gaps = gaps[gaps > 1e-9 * max(1.0, float(np.abs(eigenvalues).max()))]
     return 2.0 * np.pi / float(gaps.min()) if gaps.size else float("inf")
 
@@ -378,12 +411,13 @@ def find_transfer_time(
     ``isqrt(n) + 1`` points is skipped where a bound on its ``F`` (the row
     head's amplitude plus the most the row's phases can turn it) is more than
     ``_CANDIDATE_BAND`` below a grid maximum: most rows of a dispersive grid,
-    none of a resonant one.  Every local maximum near the grid top is
-    refined by Newton on ``F'(t) = 0`` inside its grid bracket.  The result
-    is the best refined peak in the first period of the slow transfer
-    envelope, the earliest on an exact tie: later periods repeat the same
-    peaks with essentially the same fidelity, so a global argmax would jump
-    between them on rounding-level differences.
+    none of a resonant one.  The result is the best refined peak in the first
+    period of the slow transfer envelope, the earliest on an exact tie: later
+    periods repeat the same peaks with essentially the same fidelity, so a
+    global argmax would jump between them on rounding-level differences.  Of
+    the local maxima near the grid top, Newton on ``F'(t) = 0`` refines, inside
+    its grid bracket, each that may be that pick: in a large pool, only those
+    that a bound on ``F`` over the bracket, cluster by cluster, cannot rule out.
 
     Parameters
     ----------
@@ -420,15 +454,21 @@ def find_transfer_time(
     runs = _rows_to_scan(heads, ladder, bound, grid_points)
     chunks = _uniform_chunks(heads, ladder, grid_points, runs)
     peaks, f_grid, a_grid = _scan_peaks(chunks, grid_points, (t_lo, t_hi))
-    t_grid, lo, hi = _grid_times(peaks + np.array([[0], [-1], [1]]), t_lo, t_hi, grid_points)
-    t_new = _newton_peaks(weights, spectrum.eigenvalues, t_grid, lo, hi)
-    a_new = _amp_on_grid(weights, spectrum.eigenvalues, t_new)
-    # a peak that Newton did not improve keeps its grid point: never below the scan
-    better = np.abs(a_new) ** 2 >= f_grid
-    t_peak, a_peak = np.where(better, t_new, t_grid), np.where(better, a_new, a_grid)
-    f_peak = np.abs(a_peak) ** 2
-
+    t, lo, hi = brackets = _grid_times(peaks + np.array([[0], [-1], [1]]), t_lo, t_hi, grid_points)
+    derivatives, block, ceiling = _bracket_bounds(weights, spectrum.eigenvalues, brackets)
     period = _envelope_period(weights, spectrum.eigenvalues) if window else t_hi / _WINDOW_PERIODS
+    # Newton goes on where the ceiling reaches the grid F (<= refined F) of one sure to share the
+    # pick's class: first of those that may land in the first period, then, if none does, of all
+    for h in (t_lo + period, np.inf):
+        new, t_new = (lo <= h) & (ceiling >= f_grid[hi <= h].max(initial=-np.inf)), t.copy()
+        t_new[new] = _newton_peaks(derivatives, spectrum.eigenvalues, brackets[:, new], block[new])
+        t_new, a_new = t_new[new], _amp_on_grid(weights, spectrum.eigenvalues, t_new, new)[new]
+        # a peak that Newton did not improve keeps its grid point: never below the scan
+        better = np.abs(a_new) ** 2 >= f_grid[new]
+        t_peak, a_peak = np.where(better, t_new, t[new]), np.where(better, a_new, a_grid[new])
+        if (t_peak <= t_lo + period).any():
+            break
+    f_peak = np.abs(a_peak) ** 2
     # inside the first envelope period if any is, then the highest, then the earliest
     k = np.lexsort((t_peak, -f_peak, t_peak > t_lo + period))[0]
     return TransferResult(float(t_peak[k]), float(f_peak[k]), float(np.angle(a_peak[k])))

@@ -217,17 +217,30 @@ def hex_routing_schedule(
     t_upload: float,
     t_hop: float,
 ) -> Schedule:
-    """Route an excitation along ``path`` (a vertex sequence) on a lattice.
+    """Route an excitation along ``path`` on a lattice.
 
-    The first and last vertices must carry upload sites; consecutive
-    vertices must share a link.  The schedule uploads at the first vertex,
-    steers the collective mode onto each link port in turn, and finally
-    parks the excitation in the last vertex's upload site: ``len(path) - 1``
-    hops and ``len(path)`` flips in total.
+    ``path`` lists vertices, each a name or a ``[name, exit port]`` pair that names the link the
+    route leaves by; where several links join a vertex to the next, the pair is required.  The
+    first and last vertices must carry upload sites; consecutive vertices must share a link.
+    The schedule uploads at the first vertex, steers the collective mode onto each link port
+    in turn, and finally parks the excitation in the last vertex's upload site:
+    ``len(path) - 1`` hops and ``len(path)`` flips in total.
     """
-    path = _listed(path, "path", str)
+
+    def stop(element) -> tuple[str, int | None]:
+        # a vertex name, or a [vertex, exit port] pair
+        if isinstance(element, str):
+            return element, None
+        if isinstance(element, (list, tuple)) and len(element) == 2 and isinstance(element[0], str):
+            return element[0], _count(element[1], "exit port", 1, 3)
+        raise ValueError(f"malformed path: {path!r}")
+
+    stops = [stop(element) for element in _listed(path, "path")]
+    path = [vertex for vertex, _ in stops]
     if len(path) < 2:
         raise ValueError("a route needs at least two vertices (zero-hop paths are invalid)")
+    if stops[-1][1] is not None:
+        raise ValueError(f"the route ends at {path[-1]!r}, which takes no exit port")
     if not (_real(t_upload, "t_upload") > 0 and _real(t_hop, "t_hop") > 0):
         raise ValueError("transfer times must be positive")
     layout = hex_lattice_layout(desc)
@@ -235,19 +248,22 @@ def hex_routing_schedule(
         if v not in desc.uploads:
             raise ValueError(f"vertex {v!r} has no upload site")
 
-    def link_between(a: str, b: str) -> tuple[int, int]:
-        # ports (at a, at b) of the first link joining the two vertices
-        for va, pa, vb, pb in desc.links:
-            if (va, vb) == (a, b):
-                return pa, pb
-            if (vb, va) == (a, b):
-                return pb, pa
-        raise ValueError(f"no link between {a!r} and {b!r}")
+    def link_between(a: str, port: int | None, b: str) -> tuple[int, int]:
+        # ports (at a, at b) of the one link from a's exit port, or from a, to b
+        ends = [(pa, pb) for va, pa, vb, pb in desc.links if (va, vb) == (a, b)]
+        ends += [(pb, pa) for va, pa, vb, pb in desc.links if (vb, va) == (a, b)]
+        ends = [end for end in ends if port in (None, end[0])]
+        if len(ends) > 1:
+            raise ValueError(f"{len(ends)} links join {a!r} and {b!r}; give [{a!r}, exit port]")
+        if not ends:
+            at = "" if port is None else f" at port {port} of {a!r}"
+            raise ValueError(f"no link between {a!r} and {b!r}{at}")
+        return ends[0]
 
     steps: list[Step] = [Evolve(t_upload)]
     current_port = 0
-    for here, there in zip(path[:-1], path[1:]):
-        port_out, port_in = link_between(here, there)
+    for (here, port), there in zip(stops[:-1], path[1:]):
+        port_out, port_in = link_between(here, port, there)
         if port_out == current_port:
             raise ValueError(f"path turns back at {here!r} along the link it arrived by")
         steps.append(

@@ -258,12 +258,12 @@ class TestFindTransferTime:
         # fallback hands one candidate to the refinement, not every interior point
         sizes = []
 
-        def counted(weights, eigenvalues, t, lo, hi):
-            sizes.append(t.shape[0])
-            return newton(weights, eigenvalues, t, lo, hi)
+        def counted(weights, eigenvalues, brackets):
+            sizes.append(brackets[0].shape[0])
+            return bounds(weights, eigenvalues, brackets)
 
-        newton = evolution._newton_peaks
-        monkeypatch.setattr(evolution, "_newton_peaks", counted)
+        bounds = evolution._bracket_bounds
+        monkeypatch.setattr(evolution, "_bracket_bounds", counted)
         spec = NetworkSpec(sites=(Site(0, "a"), Site(1, "b")), edges=(), params=DISPERSIVE)
         h = dense_hamiltonian(spec)
         window = (0.0, 600.0)
@@ -498,16 +498,16 @@ def count_scanned_points(monkeypatch):
     return counts
 
 
-def newton_inputs(monkeypatch):
-    """Record the candidates, and their brackets, that the scan hands to Newton."""
+def pruning_inputs(monkeypatch):
+    """Record the candidates, and their brackets, that the scan hands to the pruning step."""
     seen = []
-    newton = evolution._newton_peaks
+    bounds = evolution._bracket_bounds
 
-    def spy(weights, eigenvalues, t, lo, hi):
-        seen.append(np.concatenate([t, lo, hi]).tobytes())
-        return newton(weights, eigenvalues, t, lo, hi)
+    def spy(weights, eigenvalues, brackets):
+        seen.append(np.concatenate(brackets).tobytes())
+        return bounds(weights, eigenvalues, brackets)
 
-    monkeypatch.setattr(evolution, "_newton_peaks", spy)
+    monkeypatch.setattr(evolution, "_bracket_bounds", spy)
     return seen
 
 
@@ -582,7 +582,7 @@ class TestStreamingScan:
         spectrum = eigendecompose(h)
         n = auto_grid_points(spectrum, window)
         with pytest.MonkeyPatch.context() as patch:
-            seen = newton_inputs(patch)
+            seen = pruning_inputs(patch)
             expected = find_transfer_time(spectrum, source, target, window=window, grid_points=n)
             for rows in (1, 2, 3):
                 scan_in_rows(patch, rows)
@@ -598,7 +598,7 @@ class TestStreamingScan:
         spectrum = eigendecompose(h)
         n = auto_grid_points(spectrum, window)
         with pytest.MonkeyPatch.context() as patch:
-            seen = newton_inputs(patch)
+            seen = pruning_inputs(patch)
             result = find_transfer_time(spectrum, source, target, window=window, grid_points=n)
             skip_no_rows(patch)
             expected = find_transfer_time(spectrum, source, target, window=window, grid_points=n)
@@ -646,7 +646,7 @@ class TestStreamingScan:
                 break
         else:
             pytest.fail("no grid puts a candidate at that end of a row")
-        seen = newton_inputs(monkeypatch)
+        seen = pruning_inputs(monkeypatch)
         expected = find_transfer_time(spectrum, 1, 3, window=window, grid_points=n)  # one chunk
         scan_in_rows(monkeypatch, 1)  # one row per chunk: the candidate is on a joint
         assert find_transfer_time(spectrum, 1, 3, window=window, grid_points=n) == expected
@@ -679,6 +679,77 @@ class TestStreamingScan:
             tracemalloc.stop()
         assert result == PINNED_AUTO_SEARCHES["dispersive", "mid"]
         assert peak < 8e6
+
+
+#: Candidates that Newton refines past its first step in each reference search: on the default
+#: window, then on (0, 10) or (0, 600), as in ``test_auto_search_matches_pinned``.  The scan's
+#: pools hold 3-12 resonant candidates, refined whole but for those past the first envelope
+#: period, and 1,125-3,008 dispersive ones.
+NEWTON_COUNTS = {
+    "resonant": {"end": [5, 5], "mid": [5, 5], "upload": [4, 4], "hop": [3, 3]},
+    "dispersive": {"end": [13, 34], "mid": [39, 7], "upload": [15, 3], "hop": [20, 8]},
+}
+
+
+class TestPruning:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(case=uniform_grids(), place=st.floats(0.0, 1.0))
+    def test_bracket_bound_holds_and_follows_the_clusters(self, case, place):
+        weights, eigenvalues, t_lo, step, n = case
+        t = t_lo + (1 + round(place * (n - 3))) * step
+        brackets = np.array([[t], [t - step], [t + step]])
+        with pytest.MonkeyPatch.context() as patch:  # bound even a one-candidate pool
+            patch.setattr(evolution, "_WHOLE_POOL", 0)
+            derivatives, block, bound = evolution._bracket_bounds(weights, eigenvalues, brackets)
+        refined = evolution._newton_peaks(derivatives, eigenvalues, brackets, block)
+        times = np.append(np.linspace(t - step, t + step, 257), refined)
+        assert (np.abs(evolution._amp_on_grid(weights, eigenvalues, times)) ** 2 <= bound).all()
+        # no looser than each cluster's own spread allows: sum |w_k w_l| (lambda_k - lambda_l)^2
+        # within a cluster is at most (W_c spread_c)^2
+        cuts = np.flatnonzero(np.diff(eigenvalues) > 0.1 * (eigenvalues[-1] - eigenvalues[0])) + 1
+        reach = 0.0
+        for lam, w in zip(np.split(eigenvalues, cuts), np.split(weights, cuts)):
+            e, e1 = evolution._amp_on_grid(np.stack([w, -1j * lam * w], 1), lam, [t])[0]
+            slope, curvature = 2 * (e.conjugate() * e1).real, (np.abs(w).sum() * np.ptp(lam)) ** 2
+            reach += math.sqrt(abs(e) ** 2 + abs(slope) * step + curvature * step**2 / 2)
+        assert bound[0] <= (reach + 1e-6 * np.abs(weights).sum()) ** 2
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(case=search_cases())
+    @example(case=(extract_block(DISPERSIVE, "end"), SEARCH_PAIRS["end"], (0.0, 1200.0)))
+    # pruned against the best refined F with no horizon rule, this search picks t* = 7.877
+    @example(case=(extract_block(RESONANT, "upload"), SEARCH_PAIRS["upload"], (0.0, 10.0)))
+    def test_unrefined_candidates_lose_the_pick(self, case):
+        h, (source, target), window = case
+        spectrum = eigendecompose(h)
+        n = auto_grid_points(spectrum, window)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evolution, "_WHOLE_POOL", 0)  # prune even the smallest pools
+            result = find_transfer_time(spectrum, source, target, window=window, grid_points=n)
+            bounds = evolution._bracket_bounds  # an infinite ceiling leaves nothing unrefined
+            patch.setattr(evolution, "_bracket_bounds", lambda *args: (*bounds(*args)[:2], np.inf))
+            expected = find_transfer_time(spectrum, source, target, window=window, grid_points=n)
+        assert np.array(result).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("regime", ["resonant", "dispersive"])
+    def test_newton_refines_few_candidates_on_the_reference_blocks(self, monkeypatch, regime):
+        params, t_max = {"resonant": (RESONANT, 10.0), "dispersive": (DISPERSIVE, 600.0)}[regime]
+        counts = []
+        newton = evolution._newton_peaks
+
+        def counted(derivatives, eigenvalues, brackets, block):
+            counts[-1] += brackets.shape[1]
+            return newton(derivatives, eigenvalues, brackets, block)
+
+        monkeypatch.setattr(evolution, "_newton_peaks", counted)
+        for block, (source, target) in SEARCH_PAIRS.items():
+            h = extract_block(params, block)
+            for window in (None, (0.0, t_max)):
+                n = None if window is None else auto_grid_points(h, window)
+                counts.append(0)
+                result = find_transfer_time(h, source, target, window=window, grid_points=n)
+                assert result == PINNED_AUTO_SEARCHES[regime, block]
+        assert counts == [c for block in SEARCH_PAIRS for c in NEWTON_COUNTS[regime][block]]
 
 
 class TestAutoGridPoints:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -256,6 +256,90 @@ class TestHexScheduling:
         s = hex_routing_schedule(TWO_VERTEX, ["a", "b"], T_UPLOAD, T_HOP)
         trace = run_schedule(spec, s, samples_per_window=2)
         assert trace.final_population >= 0.99
+
+
+PARALLEL = HexLatticeDescriptor(
+    vertices=("a", "b"), links=(("a", 1, "b", 1), ("a", 3, "b", 3)), uploads=("a", "b")
+)
+
+
+class TestRoutesThatNameTheirLinks:
+    def test_exit_ports_pick_parallel_links(self):
+        # out on a1-b1, back on b3-a3: the bare path a, b, a would turn back at b
+        s = hex_routing_schedule(PARALLEL, [["a", 1], ["b", 3], "a"], T_UPLOAD, T_HOP)
+        layout = routing.hex_lattice_layout(PARALLEL)
+        a, b = layout.inner["a"], layout.inner["b"]
+        flips = [step for step in s.steps if isinstance(step, PhaseFlip)]
+        assert flips == [
+            PhaseFlip(routing._port_flip_sites(a, 0, 1)),
+            PhaseFlip(routing._port_flip_sites(b, 1, 3)),
+            PhaseFlip(routing._port_flip_sites(a, 3, 0)),
+        ]
+        assert s.source == s.target == (layout.occupant[("a", 0)], "atom")
+        trace = run_schedule(build_hex_lattice(PARALLEL, RESONANT), s, samples_per_window=2)
+        assert trace.final_population >= 0.99
+
+    def test_a_bare_name_over_parallel_links_is_refused(self):
+        message = r"^2 links join 'a' and 'b'; give \['a', exit port\]$"
+        with pytest.raises(ValueError, match=message):
+            hex_routing_schedule(PARALLEL, ["a", "b", "a"], 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ([["a", 2], "b"], r"^no link between 'a' and 'b' at port 2 of 'a'$"),
+            ([["a", 1], ["b", 1], "a"], r"^path turns back at 'b' along the link it arrived by$"),
+            ([["a", 1], ["b", 3], ["a", 1]], r"^the route ends at 'a', which takes no exit port$"),
+            ([["a", 0], "b"], r"^exit port must be an integer in \[1, 3\], got 0$"),
+            ([["a", 1, 2], "b"], r"^malformed path: "),
+        ],
+    )
+    def test_refused_hops(self, path, message):
+        with pytest.raises(ValueError, match=message):
+            hex_routing_schedule(PARALLEL, path, 1.0, 1.0)
+
+
+@st.composite
+def walks_over_parallel_links(draw):
+    """A 2-4-vertex descriptor whose links pair random free ports, often twice between one
+    pair of vertices, and a random walk over it that never turns back along its arrival link:
+    each step a ``[vertex, exit port]`` pair, or the bare name where one link joins the pair."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(2, 4)))]
+    ends = draw(st.permutations([(v, port) for v in vertices for port in (1, 2, 3)]))
+    links = [(*x, *y) for x, y in zip(ends[::2], ends[1::2]) if x[0] != y[0]]
+    links = links[: draw(st.integers(1, max(1, len(links))))]
+    assume(links)
+    desc = HexLatticeDescriptor(tuple(vertices), tuple(links), tuple(vertices))
+    exits = {}  # vertex -> {exit port: (next vertex, arrival port)}
+    for a, pa, b, pb in links:
+        exits.setdefault(a, {})[pa] = (b, pb)
+        exits.setdefault(b, {})[pb] = (a, pa)
+    here, arrived, path = draw(st.sampled_from(sorted(exits))), 0, []
+    for _ in range(draw(st.integers(1, 5))):
+        ports = sorted(set(exits[here]) - {arrived})
+        if not ports:
+            break
+        port = draw(st.sampled_from(ports))
+        there, arrived = exits[here][port]
+        joining = [p for p, (v, _) in exits[here].items() if v == there]
+        path.append(here if len(joining) == 1 and draw(st.booleans()) else [here, port])
+        here = there
+    assume(path)
+    return desc, path + [here]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    case=walks_over_parallel_links(),
+    times=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+    g=st.floats(0.5, 15.0),
+)
+def test_routes_over_parallel_links_conserve_the_norm(case, times, g):
+    desc, path = case
+    schedule = hex_routing_schedule(desc, path, *times)
+    assert schedule.num_flips() == len(path)
+    trace = run_schedule(build_hex_lattice(desc, SystemParams(g=g)), schedule, samples_per_window=2)
+    assert np.abs(trace.norms - 1.0).max() <= NORM_TOLERANCE
 
 
 class TestRunSchedule:
