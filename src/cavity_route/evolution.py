@@ -36,9 +36,9 @@ __all__ = [
     "auto_grid_points",
 ]
 
-#: Points per evaluation chunk, which bounds every per-point temporary: ``_amp_on_grid``
-#: (Newton included) takes ``_CHUNK`` times at once, the uniform scan as many whole
-#: ladder rows as fit in ``_CHUNK`` points, at least one.
+#: Complex elements per evaluation chunk, which bounds every temporary: ``_amp_on_grid``
+#: (Newton included) and the bracket bound take ``_CHUNK // dim`` points at once, the
+#: uniform scan as many whole ladder rows as fit in ``_CHUNK`` points; at least one of each.
 _CHUNK = 65536
 
 #: The scan keeps the grid maxima within this band of the grid maximum as
@@ -46,7 +46,7 @@ _CHUNK = 65536
 #: and only candidates whose bracket bound reaches the pick are refined.
 _CANDIDATE_BAND = 5e-3
 
-#: Newton steps, the first from the bracket bound's block; three reach rounding on auto grids.
+#: Newton steps; three reach rounding on auto grids.
 _NEWTON_STEPS = 5
 
 #: A pool of at most this many candidates is refined whole: bounding it costs more than it saves.
@@ -185,17 +185,17 @@ def propagate(spectrum: Spectrum, state: ExcitationState, t: float) -> Excitatio
 
 
 def _amp_on_grid(weights: np.ndarray, eigenvalues: np.ndarray, times, rows=None) -> np.ndarray:
-    """``sum_k w_k exp(-i lambda_k t)`` for every t, ``_CHUNK`` points at a time.
+    """``sum_k w_k exp(-i lambda_k t)`` for every t, ``_CHUNK // dim`` points at a time.
 
     ``weights`` may carry trailing columns; each gives one column of the result.
     A mask ``rows`` evaluates just those rows, rounded as in the whole product (the rest is junk).
     """
-    times = np.asarray(times, dtype=float)
+    times, per = np.asarray(times, dtype=float), max(1, _CHUNK // eigenvalues.size)
     out = np.empty((times.shape[0], *weights.shape[1:]), dtype=complex)
-    for start in range(0, times.shape[0], _CHUNK):
-        phase = times[start : start + _CHUNK, None] * (-1j * eigenvalues)  # exp'd in place
-        where = True if rows is None else rows[start : start + _CHUNK, None]
-        out[start : start + _CHUNK] = np.exp(phase, out=phase, where=where) @ weights
+    for start in range(0, times.shape[0], per):
+        phase = times[start : start + per, None] * (-1j * eigenvalues)  # exp'd in place
+        where = True if rows is None else rows[start : start + per, None]
+        out[start : start + per] = np.exp(phase, out=phase, where=where) @ weights
         del phase  # freed before the next chunk's is formed
     return out
 
@@ -317,15 +317,17 @@ def site_population(state: ExcitationState, site: int, kind: str) -> float:
     return state.population(_mode((site, kind), state.dim // 2, "population mode"))
 
 
-def _newton_peaks(derivatives, eigenvalues: np.ndarray, brackets, block) -> np.ndarray:
+def _newton_peaks(weights: np.ndarray, eigenvalues: np.ndarray, brackets) -> np.ndarray:
     """Newton on ``F'(t) = 0`` from the grid maxima of ``brackets = t, lo, hi``; returns new times.
 
-    ``F'/2 = Re(conj(A) A')`` and ``F''/2 = |A'|^2 + Re(conj(A) A'')`` come from ``block`` at ``t``,
-    then one ``_amp_on_grid`` per step; a candidate moves only where ``F'' < 0``, in its bracket.
+    Each step evaluates ``A, A', A''`` at ``t``, so ``F'/2 = Re(conj(A) A')`` and
+    ``F''/2 = |A'|^2 + Re(conj(A) A'')``; a candidate moves only where ``F'' < 0``, in its bracket.
     """
     t, lo, hi = brackets
-    for step in range(_NEWTON_STEPS):
-        a, a1, a2 = (_amp_on_grid(derivatives, eigenvalues, t) if step else block).T
+    lam, w = eigenvalues[:, None], weights[:, None]
+    derivatives = np.concatenate([w, -1j * lam * w, -lam**2 * w], 1)
+    for _ in range(_NEWTON_STEPS):
+        a, a1, a2 = _amp_on_grid(derivatives, eigenvalues, t).T
         slope = (a.conj() * a1).real
         curvature = np.abs(a1) ** 2 + (a.conj() * a2).real
         shift = np.divide(slope, curvature, out=np.zeros(slope.shape), where=curvature < 0)
@@ -333,34 +335,30 @@ def _newton_peaks(derivatives, eigenvalues: np.ndarray, brackets, block) -> np.n
     return t
 
 
-def _bracket_bounds(weights, eigenvalues, brackets):
-    """Newton's columns ``A, A', A''``, their block at the grid times ``t``, and from it a ceiling
-    on ``F`` over each bracket ``[lo, hi]`` (``inf`` for a pool refined whole).
+def _bracket_bounds(weights, eigenvalues, heads, ladder, peaks, step: float, t_hi: float):
+    """A ceiling on ``F`` over the grid bracket ``[p - 1, p + 1]`` of each ``p`` in ``peaks``, with
+    ``|t| <= t_hi``; ``A`` at point ``r m + i`` is the scan's ``heads[r] @ ladder[:, i]``.
 
-    The block also holds ``E_c, E_c'`` per cluster ``c``, a run of the spectrum split at gaps over
-    0.1 of its spread.  ``G_c = |E_c|^2`` has ``|G_c''| <= K_c = 2 W_c S_c``, the sums over ``c``
-    of ``|w|`` and ``|w| (lambda - mean)^2``, so no ``F`` within ``d`` of ``t`` exceeds
-    ``(sum_c sqrt(G_c + |G_c'| d + K_c d^2 / 2))^2``.
+    ``E_c``, the part of ``A`` of cluster ``c`` (a run of the spectrum split at gaps over 0.1 of
+    its spread), has ``G_c = |E_c|^2`` with ``|G_c''| <= K_c = 2 W_c S_c``, the sums over ``c`` of
+    ``|w|`` and ``|w| (lambda - mean)^2``: on a half of the bracket ``G_c`` is at most its larger
+    end plus ``K_c step^2 / 8``, and ``F <= (sum_c sqrt(G_c))^2``.
     """
-    t, lo, hi = brackets
-    lam, w = eigenvalues[:, None], weights[:, None]
-    derivatives = np.concatenate([w, -1j * lam * w, -lam**2 * w], 1)
-    if t.size <= _WHOLE_POOL:
-        return derivatives, _amp_on_grid(derivatives, eigenvalues, t), np.full(t.size, np.inf)
     gaps = (eigenvalues[1:] - eigenvalues[:-1] > 0.1 * (eigenvalues[-1] - eigenvalues[0])).tolist()
     member = np.equal.outer([0, *itertools.accumulate(gaps)], range(sum(gaps) + 1))
     size = np.abs(weights)[:, None] * member  # |w_k| in the column of k's cluster
     total = size.sum(0)
     centre = eigenvalues @ size / np.maximum(total, np.finfo(float).tiny)
-    curvature = total * (np.square(eigenvalues[:, None] - centre) * size).sum(0)  # K_c / 2
-    columns = np.concatenate([derivatives, w * member, derivatives[:, 1:2] * member], 1)
-    block, k = _amp_on_grid(columns, eigenvalues, t), total.size
-    e, e1, d = block[:, 3 : 3 + k], block[:, 3 + k :], np.maximum(t - lo, hi - t)[:, None]
-    reach = np.sqrt(np.square(np.abs(e)) + d * (2 * np.abs((e.conj() * e1).real) + d * curvature))
-    # capped at (sum |w|)^2; phases round at eps lambda t, as in _uniform_rows
-    cap, turn = total.sum(), abs(lam).max() * abs(brackets).max()
-    slack = 8 * np.finfo(float).eps * cap * (lam.size + 4 + turn)
-    return derivatives, block[:, :3], np.square(np.minimum(reach.sum(1), cap) + slack)
+    bend = total * (np.square(eigenvalues[:, None] - centre) * size).sum(0) * step**2 / 4
+    g, per = np.zeros((peaks.size, total.size)), max(1, _CHUNK // eigenvalues.size)
+    for start, offset in itertools.product(range(0, peaks.size, per), (-1, 0, 1)):
+        row, rung = np.divmod(peaks[start : start + per] + offset, ladder.shape[1])
+        e = np.abs((np.take(heads, row, 0) * np.take(ladder, rung, 1).T) @ member)
+        np.maximum(g[start : start + per], np.square(e, out=e), out=g[start : start + per])
+    # capped at (sum |w|)^2; the heads' phases round at eps lambda t
+    cap, turn = total.sum(), abs(eigenvalues).max() * t_hi
+    slack = 8 * np.finfo(float).eps * cap * (eigenvalues.size + 4 + turn)
+    return np.square(np.minimum(np.sqrt(g + bend).sum(1), cap) + slack)
 
 
 def _window(window) -> tuple[float, float]:
@@ -455,13 +453,15 @@ def find_transfer_time(
     chunks = _uniform_chunks(heads, ladder, grid_points, runs)
     peaks, f_grid, a_grid = _scan_peaks(chunks, grid_points, (t_lo, t_hi))
     t, lo, hi = brackets = _grid_times(peaks + np.array([[0], [-1], [1]]), t_lo, t_hi, grid_points)
-    derivatives, block, ceiling = _bracket_bounds(weights, spectrum.eigenvalues, brackets)
+    ceiling = np.inf
+    if peaks.size > _WHOLE_POOL:
+        ceiling = _bracket_bounds(weights, spectrum.eigenvalues, heads, ladder, peaks, step, t_hi)
     period = _envelope_period(weights, spectrum.eigenvalues) if window else t_hi / _WINDOW_PERIODS
     # Newton goes on where the ceiling reaches the grid F (<= refined F) of one sure to share the
     # pick's class: first of those that may land in the first period, then, if none does, of all
     for h in (t_lo + period, np.inf):
         new, t_new = (lo <= h) & (ceiling >= f_grid[hi <= h].max(initial=-np.inf)), t.copy()
-        t_new[new] = _newton_peaks(derivatives, spectrum.eigenvalues, brackets[:, new], block[new])
+        t_new[new] = _newton_peaks(weights, spectrum.eigenvalues, brackets[:, new])
         t_new, a_new = t_new[new], _amp_on_grid(weights, spectrum.eigenvalues, t_new, new)[new]
         # a peak that Newton did not improve keeps its grid point: never below the scan
         better = np.abs(a_new) ** 2 >= f_grid[new]

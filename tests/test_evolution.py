@@ -199,6 +199,45 @@ class TestAmplitudesAndPopulations:
             state = propagate(spectrum, ExcitationState.excitation(6, 1), t)
             assert abs(amps[k] - state.amps[5]) <= 1e-12
 
+    def test_amplitudes_hold_a_bounded_chunk_of_phases(self):
+        # 8192 times at once would be 34 MB of phases on 256 modes, for a 131 kB result; a chunk
+        # of _CHUNK // 256 times holds 1 MB
+        h = np.diag(np.ones(255), 1)
+        spectrum = eigendecompose(h + h.T)
+        times = np.linspace(0.0, 50.0, 8192)
+        tracemalloc.start()
+        try:
+            amps = transition_amplitudes(spectrum, 0, 255, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        for k in range(0, 8192, 1023):  # across the chunk joints
+            state = propagate(spectrum, ExcitationState.excitation(256, 0), times[k])
+            assert abs(amps[k] - state.amps[255]) <= 1e-12
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        columns=st.sampled_from([(), (3,)]),
+        chunks=st.integers(0, 2),
+        edge=st.integers(-3, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_masked_rows_round_as_in_the_whole_product(self, dim, columns, chunks, edge, seed):
+        # a row's place in a BLAS product sets its rounding: the search's masked final evaluation
+        # is bitwise the whole pool's only if a mask keeps every row in its place
+        rng = np.random.default_rng(seed)
+        size = max(1, chunks * (evolution._CHUNK // dim) + edge)  # about a chunk boundary
+        eigenvalues = np.sort(rng.uniform(-1000.0, 1000.0, dim))
+        weights = rng.normal(size=(dim, *columns))  # real, as the transition weights are
+        if columns:  # complex, as Newton's columns A, A', A'' are
+            weights = weights + 1j * rng.normal(size=weights.shape)
+        times, rows = rng.uniform(0.0, 600.0, size), rng.random(size) < rng.random()
+        whole = evolution._amp_on_grid(weights, eigenvalues, times)
+        masked = evolution._amp_on_grid(weights, eigenvalues, times, rows)
+        assert masked[rows].tobytes() == whole[rows].tobytes()
+
     def test_photon_population_counts_even_modes(self):
         amps = np.zeros(6, dtype=complex)
         amps[0] = 0.6  # cavity of site 0
@@ -256,14 +295,7 @@ class TestFindTransferTime:
     def test_decoupled_pair_on_dispersive_grid(self, monkeypatch):
         # F is exactly 0 on the ~770k-point grid: a flat stretch is no maximum, so the
         # fallback hands one candidate to the refinement, not every interior point
-        sizes = []
-
-        def counted(weights, eigenvalues, brackets):
-            sizes.append(brackets[0].shape[0])
-            return bounds(weights, eigenvalues, brackets)
-
-        bounds = evolution._bracket_bounds
-        monkeypatch.setattr(evolution, "_bracket_bounds", counted)
+        pools = pruning_inputs(monkeypatch)
         spec = NetworkSpec(sites=(Site(0, "a"), Site(1, "b")), edges=(), params=DISPERSIVE)
         h = dense_hamiltonian(spec)
         window = (0.0, 600.0)
@@ -274,7 +306,7 @@ class TestFindTransferTime:
         for rows in (1, 2, 3):  # the flat stretch crosses every chunk joint
             scan_in_rows(monkeypatch, rows)
             assert find_transfer_time(h, 1, 3, window=window, grid_points=n) == r
-        assert sizes == [1] * 4
+        assert [len(pool) for pool in pools] == [1] * 4
 
     def test_spectrum_passes_through(self):
         h = extract_block(DISPERSIVE, "hop")
@@ -499,15 +531,16 @@ def count_scanned_points(monkeypatch):
 
 
 def pruning_inputs(monkeypatch):
-    """Record the candidates, and their brackets, that the scan hands to the pruning step."""
+    """Record the grid indices of the candidate pool that the scan hands to the pruning step."""
     seen = []
-    bounds = evolution._bracket_bounds
+    scan = evolution._scan_peaks
 
-    def spy(weights, eigenvalues, brackets):
-        seen.append(np.concatenate(brackets).tobytes())
-        return bounds(weights, eigenvalues, brackets)
+    def spy(chunks, n, window):
+        pool = scan(chunks, n, window)
+        seen.append(pool[0].tolist())
+        return pool
 
-    monkeypatch.setattr(evolution, "_bracket_bounds", spy)
+    monkeypatch.setattr(evolution, "_scan_peaks", spy)
     return seen
 
 
@@ -696,12 +729,13 @@ class TestPruning:
     @given(case=uniform_grids(), place=st.floats(0.0, 1.0))
     def test_bracket_bound_holds_and_follows_the_clusters(self, case, place):
         weights, eigenvalues, t_lo, step, n = case
-        t = t_lo + (1 + round(place * (n - 3))) * step
+        peak = 1 + round(place * (n - 3))
+        t, t_hi = t_lo + peak * step, max(abs(t_lo), abs(t_lo + (n - 1) * step))
+        heads, ladder, _ = evolution._uniform_rows(weights, eigenvalues, t_lo, step, n)
+        args = (heads, ladder, np.array([peak]), step, t_hi)
+        bound = evolution._bracket_bounds(weights, eigenvalues, *args)
         brackets = np.array([[t], [t - step], [t + step]])
-        with pytest.MonkeyPatch.context() as patch:  # bound even a one-candidate pool
-            patch.setattr(evolution, "_WHOLE_POOL", 0)
-            derivatives, block, bound = evolution._bracket_bounds(weights, eigenvalues, brackets)
-        refined = evolution._newton_peaks(derivatives, eigenvalues, brackets, block)
+        refined = evolution._newton_peaks(weights, eigenvalues, brackets)
         times = np.append(np.linspace(t - step, t + step, 257), refined)
         assert (np.abs(evolution._amp_on_grid(weights, eigenvalues, times)) ** 2 <= bound).all()
         # no looser than each cluster's own spread allows: sum |w_k w_l| (lambda_k - lambda_l)^2
@@ -709,10 +743,24 @@ class TestPruning:
         cuts = np.flatnonzero(np.diff(eigenvalues) > 0.1 * (eigenvalues[-1] - eigenvalues[0])) + 1
         reach = 0.0
         for lam, w in zip(np.split(eigenvalues, cuts), np.split(weights, cuts)):
-            e, e1 = evolution._amp_on_grid(np.stack([w, -1j * lam * w], 1), lam, [t])[0]
-            slope, curvature = 2 * (e.conjugate() * e1).real, (np.abs(w).sum() * np.ptp(lam)) ** 2
-            reach += math.sqrt(abs(e) ** 2 + abs(slope) * step + curvature * step**2 / 2)
+            ends = np.abs(evolution._amp_on_grid(w, lam, [t - step, t, t + step])) ** 2
+            curvature = (np.abs(w).sum() * np.ptp(lam)) ** 2
+            reach += math.sqrt(ends.max() + curvature * step**2 / 8)
         assert bound[0] <= (reach + 1e-6 * np.abs(weights).sum()) ** 2
+
+    def test_bound_gathers_a_large_pool_in_chunks(self, monkeypatch):
+        spectrum = eigendecompose(extract_block(DISPERSIVE, "end"))
+        weights, (t_lo, t_hi) = evolution._transition_weights(spectrum, 1, 3), (0.0, 600.0)
+        n = auto_grid_points(spectrum, (t_lo, t_hi))
+        step = (t_hi - t_lo) / (n - 1)
+        heads, ladder, _ = evolution._uniform_rows(weights, spectrum.eigenvalues, t_lo, step, n)
+        chunks = evolution._uniform_chunks(heads, ladder, n, [(0, heads.shape[0])])
+        peaks, f_grid, _ = evolution._scan_peaks(chunks, n, (t_lo, t_hi))
+        args = (weights, spectrum.eigenvalues, heads, ladder, peaks, step, t_hi)
+        ceiling = evolution._bracket_bounds(*args)
+        assert peaks.size > 1000 and (f_grid <= ceiling).all()
+        monkeypatch.setattr(evolution, "_CHUNK", 7 * spectrum.dim)  # 7 candidates at a time
+        assert np.allclose(evolution._bracket_bounds(*args), ceiling, rtol=1e-12, atol=0)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(case=search_cases())
@@ -726,8 +774,7 @@ class TestPruning:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(evolution, "_WHOLE_POOL", 0)  # prune even the smallest pools
             result = find_transfer_time(spectrum, source, target, window=window, grid_points=n)
-            bounds = evolution._bracket_bounds  # an infinite ceiling leaves nothing unrefined
-            patch.setattr(evolution, "_bracket_bounds", lambda *args: (*bounds(*args)[:2], np.inf))
+            patch.setattr(evolution, "_WHOLE_POOL", math.inf)  # no pool bounded, none pruned
             expected = find_transfer_time(spectrum, source, target, window=window, grid_points=n)
         assert np.array(result).tobytes() == np.array(expected).tobytes()
 
@@ -737,9 +784,9 @@ class TestPruning:
         counts = []
         newton = evolution._newton_peaks
 
-        def counted(derivatives, eigenvalues, brackets, block):
+        def counted(weights, eigenvalues, brackets):
             counts[-1] += brackets.shape[1]
-            return newton(derivatives, eigenvalues, brackets, block)
+            return newton(weights, eigenvalues, brackets)
 
         monkeypatch.setattr(evolution, "_newton_peaks", counted)
         for block, (source, target) in SEARCH_PAIRS.items():
