@@ -103,6 +103,16 @@ def _cases():
     cases["transfer-time-custom-disp-grid"] = ("transfer-time", _custom(DISP), flags)
     cfg = _custom({**RES, "omega_c": -0.0})
     cases["transfer-time-custom-negative-zero"] = ("transfer-time", cfg, ends)
+    # networks whose runs hold many blocks: an 8-unit chain, and a route whose source block is
+    # not the first row of the window
+    t = TIMES["res"]
+    cfg = _chain(8, RES, [t["end"], t["mid"]])
+    cfg["output"] = {"path": OUT, "samples_per_window": 21}
+    cases["simulate-n8-res"] = ("simulate", cfg, [])
+    hex3 = {"topology": "hex_lattice", "descriptor": HEX3, "params": RES}
+    protocol = {"path": ["c", "b", "a"], "times": [t["upload"], t["hop"]]}
+    flags = ["--out", OUT, "--samples", "15"]
+    cases["route-hex3-res"] = ("route", {**hex3, "protocol": protocol}, flags)
     # one auto-times case per protocol, resonant so the searches stay cheap
     cases["simulate-auto"] = ("simulate", _chain(3, RES, "auto"), ["--out", OUT, "--samples", "11"])
     cfg = _chain(2, RES, "auto", window=[0.0, 5.0], grid=8001)
