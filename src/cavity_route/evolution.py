@@ -161,7 +161,7 @@ def _phases(spectrum: Spectrum, times) -> np.ndarray:
 def _evolve(spectrum: Spectrum, amps: np.ndarray, phases: np.ndarray, out=(None, None)):
     """``V exp(-i L t) V^T amps`` from ``_phases(spectrum, times)``: one column per time.
 
-    ``out`` may hold two arrays shaped like ``phases``: the weighted phases, and the result,
+    ``out`` may hold two arrays shaped like the product: the weighted phases, and the result,
     which may be a view whose last axis is contiguous.  ``V`` must be real, as ``eigh`` of a
     real symmetric matrix gives it: ``V`` then multiplies the real and imaginary parts of the
     weighted phases as one real GEMM on their float view, half the arithmetic of a complex one.

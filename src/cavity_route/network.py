@@ -258,12 +258,6 @@ class NetworkSpec:
         """Dimension of the single-excitation sector."""
         return 2 * len(self.sites)
 
-    def site_by_label(self, label: str) -> Site:
-        for site in self.sites:
-            if site.label == label:
-                return site
-        raise ValueError(f"no site labelled {label!r}")
-
     def to_json_dict(self) -> dict:
         return {
             "sites": [{"id": s.id, "label": s.label, "role": s.role} for s in self.sites],

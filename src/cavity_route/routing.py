@@ -9,10 +9,10 @@ by an arbitrary phase.  ``entanglement_transfer`` applies no such step: it
 computes the phase-compensated Bell fidelity from the transfer amplitude.
 
 ``run_schedule`` evolves inside the invariant blocks of a collective basis, with one
-eigendecomposition per block size; each flip is one round trip through the basis.
-Without a basis the whole network is one block.  The window holds the collective rows
-block size by block size, so each size's blocks evolve in place in one slice of it, by
-one real GEMM per window.
+eigendecomposition per kind of block (one distinct block matrix); each flip is one round trip
+through the basis.  Without a basis the whole network is one block.  The window holds each
+kind's blocks as one run of rows, and evolves only a span of rows that widens to every block
+that has held amplitude: one call per kind, over that kind's blocks inside the span.
 """
 
 from __future__ import annotations
@@ -361,26 +361,35 @@ def run_schedule(
     mixed = np.flatnonzero(np.ptp(kind, axis=1))
     if mixed.size:
         raise ValueError(f"basis row {basis.labels[mixed[0]]!r} mixes cavity and atom modes")
-    # the window holds the collective rows block size by block size, blocks in group order, so
-    # each size's products go in place into one slice of it.  The window, the weighted phases
-    # and the populations are buffers for every window, not paged in anew
-    evolved = np.empty((spec.dim, samples_per_window), dtype=complex)
-    stacks, order = [], []  # per block size: the spectra, the slice, the two products
-    for size in sorted({block.dim for block in blocks}):
-        rows = np.array([idx for _, idx in basis.groups if len(idx) == size])
-        layout = slice(len(order), len(order) + rows.size)
-        order += rows.ravel().tolist()
-        product = evolved[layout].reshape(*rows.shape, samples_per_window)
-        spectrum = eigendecompose(np.stack([b.matrix for b in blocks if b.dim == size]))
-        stacks.append((spectrum, layout, (np.empty_like(product), product)))
+    # the window holds the collective rows kind by kind, where a kind is one distinct block
+    # matrix (sizes ascending, then first appearance; its blocks in group order), so each kind
+    # has one spectrum and its blocks evolve in place in one run of the window.  The state,
+    # the window, the weighted phases and the populations are buffers for every window
+    kinds: dict = {}
+    for block, (_, idx) in zip(blocks, basis.groups):
+        kinds.setdefault((block.dim, block.matrix.tobytes()), (block, []))[1].append(idx)
+    x = np.empty(spec.dim, dtype=complex)  # the state, in window rows
+    evolved = np.zeros((spec.dim, samples_per_window), dtype=complex)
+    weighted, pops = np.empty_like(evolved), np.zeros(evolved.shape)
+    runs, order, sizes = [], [], []  # per kind: the spectrum, its first row, its state and products
+    for key in sorted(kinds, key=lambda key: key[0]):
+        block, rows = kinds[key]
+        layout = slice(len(order), len(order) + len(rows) * block.dim)
+        shape = (len(rows), block.dim, samples_per_window)
+        products = (weighted[layout].reshape(shape), evolved[layout].reshape(shape))
+        runs.append((eigendecompose(block), layout.start, x[layout].reshape(shape[:2]), products))
+        order += [row for idx in rows for row in idx]
+        sizes += [block.dim] * len(rows)
     order = np.array(order)
+    cuts = np.cumsum([0, *sizes])  # the first and one past the last row of each row's block
+    head, tail = np.repeat(cuts[:-1], sizes).tolist(), np.repeat(cuts[1:], sizes).tolist()
     # the window row of each collective row (np.argsort would page in 0.3 MB of sort code)
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
     # A sum down a column does not depend on the other columns, and take's "raise" mode
     # would write through a temporary (the rows are in range anyway)
     cavity_rows = inverse[np.flatnonzero(kind[:, 0] == 0)]  # summed in collective row order
-    pops, cavity = np.empty(evolved.shape), np.empty((cavity_rows.size, samples_per_window))
+    cavity = np.empty((cavity_rows.size, samples_per_window))
     columns, coefs = basis._columns
     tracked_view = (inverse[columns[modes]], coefs[modes])
 
@@ -388,33 +397,45 @@ def run_schedule(
     photon: list[np.ndarray] = []
     tracked: list[np.ndarray] = []
     norms: list[np.ndarray] = []
-    x = basis.to_collective(initial.amps)[order]
+    x[:] = basis.to_collective(initial.amps)[order]
     t_offset = 0.0
     keep = slice(None)  # the first window keeps its t = 0 sample
-    phases: dict = {}  # each stack's phases at the sample times, per window duration
+    phases: dict = {}  # each kind's phases at the sample times, per window duration
     norm0 = np.sqrt(initial.norm_sq)
+    # The window rows lo:hi span every block that has held amplitude.  Rows outside the span
+    # are never written, so they and their populations stay exactly 0 and add exactly 0 to
+    # every sum; with the span only widening, no row is ever zeroed again
+    lo, hi = spec.dim, 0
     for step in schedule.steps:
         if not isinstance(step, Evolve):
             amps = basis.from_collective(x[inverse])
             amps[atom_rows[step]] *= step.factor
-            x = basis.to_collective(amps)[order]
+            x[:] = basis.to_collective(amps)[order]
             continue
-        taus = np.linspace(0.0, step.duration, samples_per_window)
+        live = x.nonzero()[0]
+        if live.size:  # a state all in the vacuum evolves no row
+            lo, hi = min(lo, head[live[0]]), max(hi, tail[live[-1]])
         if step.duration not in phases:  # two kept: builder schedules repeat at most two
             phases = {} if len(phases) == 2 else phases
-            phases[step.duration] = [_phases(spectrum, taus) for spectrum, _, _ in stacks]
-        for (spectrum, layout, out), p in zip(stacks, phases[step.duration]):
-            _evolve(spectrum, x[layout].reshape(spectrum.eigenvalues.shape), p, out)
-        np.square(np.abs(evolved, out=pops), out=pops)
+            taus = np.linspace(0.0, step.duration, samples_per_window)
+            phases[step.duration] = taus, [_phases(spectrum, taus) for spectrum, *_ in runs]
+        taus, kind_phases = phases[step.duration]
+        for (spectrum, start, state, (w, out)), p in zip(runs, kind_phases):
+            d = spectrum.dim  # the kind's blocks i:j lie inside the span
+            i, j = max(0, (lo - start) // d), min(len(out), (hi - start) // d)
+            if i < j:
+                _evolve(spectrum, state[i:j], p, (w[i:j], out[i:j]))
+        span = pops[lo:hi]
+        np.square(np.abs(evolved[lo:hi], out=span), out=span)
         times.append(t_offset + taus[keep])
         photon.append(np.take(pops, cavity_rows, axis=0, out=cavity, mode="clip").sum(axis=0)[keep])
         tracked.append(np.abs(_sparse_product(tracked_view, evolved[:, keep]).T) ** 2)
-        norms.append(np.sqrt(pops.sum(axis=0)[keep] + abs(initial.vac) ** 2))
+        norms.append(np.sqrt(span.sum(axis=0)[keep] + abs(initial.vac) ** 2))
         drift = float(np.abs(norms[-1] - norm0).max())
         if not drift <= NORM_TOLERANCE:
             what = f"norm drift {drift:.3e}" if np.isfinite(drift) else "non-finite norm"
             raise FloatingPointError(f"{what} in evolution window {len(norms)}")
-        x = evolved[:, -1].copy()
+        x[:] = evolved[:, -1]
         t_offset += step.duration
         keep = slice(1, None)
 

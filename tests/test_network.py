@@ -117,7 +117,7 @@ class TestSwitch:
         assert spec.sites[0].role == "upload"
         assert [s.role for s in spec.sites[1:4]] == ["port"] * 3
         assert [s.role for s in spec.sites[4:]] == ["control"] * 4
-        assert spec.site_by_label("mu2").id == 6
+        assert [s.label for s in spec.sites[4:]] == ["mu0", "mu1", "mu2", "mu3"]
 
     def test_edges_follow_hadamard_signs(self):
         spec = build_switch()

@@ -42,6 +42,6 @@ def test_readme_quick_tour_prints_what_its_comments_say(capsys):
     exec(tour, namespace)
     printed = capsys.readouterr().out.splitlines()
     shown = [f"{namespace[name]:.6f}" for name in ("t1", "t2", "slow")]
-    shown += [f"{float(printed[0]):.6f}", printed[1]]
-    assert shown == ["2.223149", "3.141407", "266.573545", "0.999705", "[4, 6, 6, 4] 0.0"]
+    shown += [f"{float(printed[0]):.6f}", printed[1], printed[2]]
+    assert shown == ["2.223149", "3.141407", "266.573545", "0.999705", "[4, 6, 6, 4] 0.0", "True"]
     assert all(f"# {value}\n" in tour for value in shown)

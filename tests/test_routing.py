@@ -633,19 +633,37 @@ def windows(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "spec, basis, sizes",
+    "spec, basis, calls",
     [
-        (build_diamond_chain(3, RESONANT), chain_collective_basis(3), (4, 6)),
-        (build_diamond_chain(3, RESONANT), None, (20,)),  # one block of all 20 modes
-        (build_switch(RESONANT), switch_collective_basis(), (4,)),
+        # the first window holds only the sender block.  The flip at site 1 reaches the first
+        # relay block, so from then on the span covers the sender, the receiver between them in
+        # the window, and one of the two relays: one call per kind, over one block each
+        (
+            build_diamond_chain(3, RESONANT),
+            chain_collective_basis(3),
+            [(4, 1)] + [(4, 1), (4, 1), (6, 1)] * 2,
+        ),
+        (build_diamond_chain(3, RESONANT), None, [(20, 1)] * 3),  # one block of all 20 modes
+        # the four port blocks are one kind, and the flip at port 1's empty atom moves nothing
+        (build_switch(RESONANT), switch_collective_basis(), [(4, 1)] * 3),
     ],
 )
-def test_a_run_calls_the_kernel_once_per_block_size_per_window(windows, spec, basis, sizes):
+def test_a_run_calls_the_kernel_once_per_live_block_kind_per_window(windows, spec, basis, calls):
     # the refusals below assert no call at all, which only means something if a run makes them
     steps = (Evolve(0.3), PhaseFlip((1,)), Evolve(0.2), Evolve(0.1))
     schedule = Schedule(steps, (0, "atom"), (1, "atom"))
     run_schedule(spec, schedule, samples_per_window=3, basis=basis)
-    assert [spectrum.dim for spectrum, *_ in windows] == list(sizes) * 3
+    assert [(spectrum.dim, amps.shape[0]) for spectrum, amps, *_ in windows] == calls
+
+
+def test_a_state_all_in_the_vacuum_evolves_no_block(windows):
+    spec = build_diamond_chain(3, RESONANT)
+    initial = ExcitationState(np.zeros(spec.dim), vac=1.0)
+    schedule = chain_routing_schedule(3, T_END, T_MID)
+    trace = run_schedule(spec, schedule, initial, 5, basis=chain_collective_basis(3))
+    assert windows == []
+    assert not (trace.photon.any() or trace.populations.any() or trace.final_state.amps.any())
+    assert np.array_equal(trace.norms, np.ones(trace.num_samples))
 
 
 class TestRunScheduleRefusals:
