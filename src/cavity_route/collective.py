@@ -86,7 +86,8 @@ class OrthogonalTransform:
     ``entries`` are the nonzeros ``(rows, cols, values)`` of ``Q``, one orthonormal row per
     label (repeated elements add up); no ``dim x dim`` array is ever formed.  A collective
     basis has at most four per row, each ``+-1/2``, ``+-1/sqrt(2)`` or ``1``.  ``labels`` are
-    strings; ``groups``, ``(name, rows)`` pairs, partition the rows into the invariant subspaces.
+    strings; ``groups``, ``(name, rows)`` pairs, partition the rows into the invariant subspaces
+    block after block, each a run of consecutive rows (row numbers are only labels).
     """
 
     entries: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -106,12 +107,11 @@ class OrthogonalTransform:
         ids = [_listed(idx, "group rows") for _, idx in groups]
         sizes = np.array([len(idx) for idx in ids], dtype=np.intp)
         members = [_count(i, "group row", 0, dim - 1) for idx in ids for i in idx]
-        if not (dim and sizes.all() and sorted(members) == list(range(dim))):
-            raise ValueError("groups must partition all rows exactly once")
+        if not (dim and sizes.all() and members == list(range(dim))):
+            raise ValueError("groups must partition the rows in order into runs of consecutive rows")
         # per row: its group, its place in it, and where its row of the group's block starts
-        owner, slot = np.empty((2, dim), dtype=np.intp)
-        owner[members] = np.repeat(np.arange(sizes.size), sizes)
-        slot[members] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        slot = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         ends = np.cumsum(sizes * sizes)  # of each block, with the blocks laid end to end
         base = ends[owner] - sizes[owner] * (sizes[owner] - slot)
         object.__setattr__(self, "_layout", (owner, slot, base, ends.tolist()))

@@ -119,11 +119,11 @@ class Spectrum:
     """Eigendecomposition of a real symmetric Hamiltonian."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns; a stack of matrices carries a leading axis
+    eigenvectors: np.ndarray  # columns
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
+        return self.eigenvalues.shape[0]
 
 
 class TransferResult(NamedTuple):
@@ -135,14 +135,14 @@ class TransferResult(NamedTuple):
 
 
 def eigendecompose(h: np.ndarray | BlockHamiltonian) -> Spectrum:
-    """Eigendecomposition of a real symmetric matrix, or of a ``(k, d, d)`` stack of them.
+    """Eigendecomposition of a real symmetric matrix.
 
     Raises ``ValueError`` for non-square or non-symmetric input.
     """
     m = h.matrix if isinstance(h, BlockHamiltonian) else np.asarray(h, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"hamiltonian must be square, got shape {m.shape}")
-    if float(np.abs(m - np.swapaxes(m, -1, -2)).max()) > _residual_bound(m):
+    if float(np.abs(m - m.T).max()) > _residual_bound(m):
         raise ValueError("hamiltonian must be symmetric")
     eigenvalues, eigenvectors = np.linalg.eigh(m)
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
@@ -154,20 +154,21 @@ def _spectrum(h: np.ndarray | BlockHamiltonian | Spectrum) -> Spectrum:
 
 
 def _phases(spectrum: Spectrum, times) -> np.ndarray:
-    """``exp(-i L t)`` for every ``t``: one column per time, after any stack axis."""
-    return np.exp(-1j * (spectrum.eigenvalues[..., None] * np.asarray(times)))
+    """``exp(-i L t)`` for every ``t``: one column per time."""
+    return np.exp(-1j * (spectrum.eigenvalues[:, None] * np.asarray(times)))
 
 
 def _evolve(spectrum: Spectrum, amps: np.ndarray, phases: np.ndarray, out=(None, None)):
     """``V exp(-i L t) V^T amps`` from ``_phases(spectrum, times)``: one column per time.
 
+    ``amps`` is one state, or a stack of states on a leading axis that all evolve under ``V``.
     ``out`` may hold two arrays shaped like the product: the weighted phases, and the result,
     which may be a view whose last axis is contiguous.  ``V`` must be real, as ``eigh`` of a
     real symmetric matrix gives it: ``V`` then multiplies the real and imaginary parts of the
     weighted phases as one real GEMM on their float view, half the arithmetic of a complex one.
     """
     v = spectrum.eigenvectors
-    weighted = np.multiply(phases, np.swapaxes(v, -1, -2) @ amps[..., None], out=out[0])
+    weighted = np.multiply(phases, v.T @ amps[..., None], out=out[0])
     result = np.empty_like(weighted) if out[1] is None else out[1]
     np.matmul(v, weighted.view(float), out=result.view(float))
     return result

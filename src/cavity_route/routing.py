@@ -9,15 +9,16 @@ by an arbitrary phase.  ``entanglement_transfer`` applies no such step: it
 computes the phase-compensated Bell fidelity from the transfer amplitude.
 
 ``run_schedule`` evolves inside the invariant blocks of a collective basis, with one
-eigendecomposition per kind of block (one distinct block matrix); each flip is one round trip
-through the basis.  Without a basis the whole network is one block.  The window holds each
-kind's blocks as one run of rows, and evolves only a span of rows that widens to every block
-that has held amplitude: one call per kind, over that kind's blocks inside the span.
+eigendecomposition per distinct block matrix; each flip is one round trip through the basis.
+Without a basis the whole network is one block.  The window rows are the collective rows, and
+only a span of them that widens to every block that has held amplitude evolves: one call per
+run of neighbouring blocks with one matrix, over that run's blocks inside the span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import fsum, inf
 from typing import ClassVar, Union
 
@@ -361,46 +362,41 @@ def run_schedule(
     mixed = np.flatnonzero(np.ptp(kind, axis=1))
     if mixed.size:
         raise ValueError(f"basis row {basis.labels[mixed[0]]!r} mixes cavity and atom modes")
-    # the window holds the collective rows kind by kind, where a kind is one distinct block
-    # matrix (sizes ascending, then first appearance; its blocks in group order), so each kind
-    # has one spectrum and its blocks evolve in place in one run of the window.  The state,
-    # the window, the weighted phases and the populations are buffers for every window
-    kinds: dict = {}
-    for block, (_, idx) in zip(blocks, basis.groups):
-        kinds.setdefault((block.dim, block.matrix.tobytes()), (block, []))[1].append(idx)
-    x = np.empty(spec.dim, dtype=complex)  # the state, in window rows
+    # the window rows are the collective rows: each run of neighbouring blocks with one matrix
+    # evolves in place in one call, with one spectrum per distinct matrix.  The state, the
+    # window, the weighted phases and the populations are buffers for every window
+    x = np.empty(spec.dim, dtype=complex)  # the state, in collective rows
     evolved = np.zeros((spec.dim, samples_per_window), dtype=complex)
     weighted, pops = np.empty_like(evolved), np.zeros(evolved.shape)
-    runs, order, sizes = [], [], []  # per kind: the spectrum, its first row, its state and products
-    for key in sorted(kinds, key=lambda key: key[0]):
-        block, rows = kinds[key]
-        layout = slice(len(order), len(order) + len(rows) * block.dim)
-        shape = (len(rows), block.dim, samples_per_window)
+    spectra: dict = {}
+    runs, start = [], 0  # per run: its key in spectra, its first row, its state and products
+    for key, run in groupby(blocks, lambda block: (block.dim, block.matrix.tobytes())):
+        run = list(run)
+        if key not in spectra:
+            spectra[key] = eigendecompose(run[0])
+        layout = slice(start, start + len(run) * key[0])
+        shape = (len(run), key[0], samples_per_window)
         products = (weighted[layout].reshape(shape), evolved[layout].reshape(shape))
-        runs.append((eigendecompose(block), layout.start, x[layout].reshape(shape[:2]), products))
-        order += [row for idx in rows for row in idx]
-        sizes += [block.dim] * len(rows)
-    order = np.array(order)
+        runs.append((key, start, x[layout].reshape(shape[:2]), products))
+        start = layout.stop
+    sizes = [block.dim for block in blocks]
     cuts = np.cumsum([0, *sizes])  # the first and one past the last row of each row's block
     head, tail = np.repeat(cuts[:-1], sizes).tolist(), np.repeat(cuts[1:], sizes).tolist()
-    # the window row of each collective row (np.argsort would page in 0.3 MB of sort code)
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
     # A sum down a column does not depend on the other columns, and take's "raise" mode
     # would write through a temporary (the rows are in range anyway)
-    cavity_rows = inverse[np.flatnonzero(kind[:, 0] == 0)]  # summed in collective row order
+    cavity_rows = np.flatnonzero(kind[:, 0] == 0)
     cavity = np.empty((cavity_rows.size, samples_per_window))
     columns, coefs = basis._columns
-    tracked_view = (inverse[columns[modes]], coefs[modes])
+    tracked_view = (columns[modes], coefs[modes])
 
     times: list[np.ndarray] = []
     photon: list[np.ndarray] = []
     tracked: list[np.ndarray] = []
     norms: list[np.ndarray] = []
-    x[:] = basis.to_collective(initial.amps)[order]
+    x[:] = basis.to_collective(initial.amps)
     t_offset = 0.0
     keep = slice(None)  # the first window keeps its t = 0 sample
-    phases: dict = {}  # each kind's phases at the sample times, per window duration
+    phases: dict = {}  # each spectrum's phases at the sample times, per window duration
     norm0 = np.sqrt(initial.norm_sq)
     # The window rows lo:hi span every block that has held amplitude.  Rows outside the span
     # are never written, so they and their populations stay exactly 0 and add exactly 0 to
@@ -408,9 +404,9 @@ def run_schedule(
     lo, hi = spec.dim, 0
     for step in schedule.steps:
         if not isinstance(step, Evolve):
-            amps = basis.from_collective(x[inverse])
+            amps = basis.from_collective(x)
             amps[atom_rows[step]] *= step.factor
-            x[:] = basis.to_collective(amps)[order]
+            x[:] = basis.to_collective(amps)
             continue
         live = x.nonzero()[0]
         if live.size:  # a state all in the vacuum evolves no row
@@ -418,13 +414,13 @@ def run_schedule(
         if step.duration not in phases:  # two kept: builder schedules repeat at most two
             phases = {} if len(phases) == 2 else phases
             taus = np.linspace(0.0, step.duration, samples_per_window)
-            phases[step.duration] = taus, [_phases(spectrum, taus) for spectrum, *_ in runs]
-        taus, kind_phases = phases[step.duration]
-        for (spectrum, start, state, (w, out)), p in zip(runs, kind_phases):
-            d = spectrum.dim  # the kind's blocks i:j lie inside the span
+            phases[step.duration] = taus, {key: _phases(s, taus) for key, s in spectra.items()}
+        taus, by_matrix = phases[step.duration]
+        for key, start, state, (w, out) in runs:
+            d = key[0]  # the run's blocks i:j lie inside the span
             i, j = max(0, (lo - start) // d), min(len(out), (hi - start) // d)
             if i < j:
-                _evolve(spectrum, state[i:j], p, (w[i:j], out[i:j]))
+                _evolve(spectra[key], state[i:j], by_matrix[key], (w[i:j], out[i:j]))
         span = pops[lo:hi]
         np.square(np.abs(evolved[lo:hi], out=span), out=span)
         times.append(t_offset + taus[keep])
@@ -439,7 +435,7 @@ def run_schedule(
         t_offset += step.duration
         keep = slice(1, None)
 
-    state = ExcitationState(amps=basis.from_collective(x[inverse]), vac=initial.vac)
+    state = ExcitationState(amps=basis.from_collective(x), vac=initial.vac)
     return TraceResult(
         times=np.concatenate(times),
         photon=np.concatenate(photon),

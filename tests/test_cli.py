@@ -697,6 +697,27 @@ class TestConfigContract:
         assert outputs[0] == outputs[1]
 
 
+class TestConfigRefusals:
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            ("blocks", [CHAIN], "config must be a JSON object"),
+            ("blocks", {"topology": "hex_lattice"}, "hex_lattice needs a 'descriptor' object"),
+            ("transfer-time", {"topology": "custom"}, "custom topology needs a 'network' object"),
+            (
+                "validate-analytic",
+                {"params": PARAMS, "blocks": []},
+                "'blocks' must be a non-empty list of block names",
+            ),
+        ],
+        ids=["config-array", "lattice-without-descriptor", "custom-without-network", "no-blocks"],
+    )
+    def test_refused_with_its_message(self, tmp_path, capsys, command, cfg, message):
+        path = write_config(tmp_path, "c.json", cfg)
+        code, out, err = run_main(capsys, [command, "--config", path])
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "command, cfg, flags",

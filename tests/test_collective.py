@@ -71,6 +71,21 @@ class TestOrthogonalTransform:
         with pytest.raises(ValueError, match="partition"):
             OrthogonalTransform(EYE2, labels=("x", "y"), groups=groups)
 
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            (("b", (2, 3)), ("a", (0, 1))),
+            (("a", (1, 0)), ("b", (2, 3))),
+            (("a", (0, 2)), ("b", (1, 3))),
+            (("a", (0, 1, 2, 3)), ("b", ())),
+        ],
+        ids=["runs-out-of-order", "rows-out-of-order", "rows-not-consecutive", "empty-run"],
+    )
+    def test_groups_must_be_runs_of_consecutive_rows_in_order(self, groups):
+        message = "^groups must partition the rows in order into runs of consecutive rows$"
+        with pytest.raises(ValueError, match=message):
+            OrthogonalTransform(_nonzeros(np.eye(4)), tuple("wxyz"), groups)
+
     def test_entries_and_the_dense_matrix_give_one_transform(self):
         dense = chain_collective_basis(3)
         rows, cols, values = dense.entries

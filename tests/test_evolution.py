@@ -79,61 +79,51 @@ class TestEigendecompose:
         block = extract_block(RESONANT, "end")
         assert eigendecompose(block).dim == 4
 
-    def test_stack_matches_each_matrix(self):
-        mats = np.stack([extract_block(params, "mid").matrix for params in (RESONANT, DISPERSIVE)])
-        stacked = eigendecompose(mats)
-        assert stacked.eigenvectors.shape == (2, 6, 6) and stacked.dim == 6
-        for k, m in enumerate(mats):
-            single = eigendecompose(m)
-            assert np.array_equal(stacked.eigenvalues[k], single.eigenvalues)
-            assert np.array_equal(stacked.eigenvectors[k], single.eigenvectors)
-
-    def test_rejects_a_stack_with_one_non_symmetric_matrix(self):
-        mats = np.stack([np.eye(3), np.eye(3)])
-        mats[1, 0, 2] = 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            eigendecompose(mats)
-
     def test_rejects_deeper_stacks(self):
-        with pytest.raises(ValueError, match="square"):
-            eigendecompose(np.zeros((2, 2, 3, 3)))
+        # one matrix at a time: run_schedule broadcasts one spectrum over a stack of states
+        for shape in ((2, 3, 3), (2, 2, 3, 3)):
+            with pytest.raises(ValueError, match="square"):
+                eigendecompose(np.zeros(shape))
 
 
 def test_evolve_on_a_stack_matches_each_matrix():
-    mats = np.stack([extract_block(params, "hop").matrix for params in (RESONANT, DISPERSIVE)])
+    # run_schedule's form: one spectrum over a (blocks, dim) stack of states, in both regimes
     rng = np.random.default_rng(7)
-    amps = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+    amps = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
     times = np.linspace(0.0, 3.0, 11)
-    spectra = eigendecompose(mats)
-    stacked = evolution._evolve(spectra, amps, evolution._phases(spectra, times))
-    assert stacked.shape == (2, 6, 11)
-    for k in range(2):
-        single = eigendecompose(mats[k])
-        alone = evolution._evolve(single, amps[k], evolution._phases(single, times))
-        assert np.abs(alone - stacked[k]).max() <= 1e-13
+    for params in (RESONANT, DISPERSIVE):
+        m = extract_block(params, "hop").matrix
+        spectrum = eigendecompose(m)
+        phases = evolution._phases(spectrum, times)
+        stacked = evolution._evolve(spectrum, amps, phases)
+        assert stacked.shape == (3, 6, 11)
         # the dispersive block reaches |H| t ~ 3e3, where expm itself keeps about 1e-12
-        expected = expm(-1j * mats[k] * times[:, None, None]) @ amps[k]  # (times, modes)
-        assert np.abs(stacked[k] - expected.T).max() <= 1e-10
+        expected = expm(-1j * m * times[:, None, None]) @ amps.T  # (times, modes, blocks)
+        for k in range(3):
+            alone = evolution._evolve(spectrum, amps[k], phases)
+            assert np.abs(alone - stacked[k]).max() <= 1e-13
+            assert np.abs(stacked[k] - expected[:, :, k].T).max() <= 1e-10
 
 
 @pytest.mark.parametrize("shape", [(1, 4, 1), (3, 6, 7), (40, 6, 241), (12, 1)])
 def test_evolve_writes_the_complex_product_into_a_slice(shape):
-    # the stacks of run_schedule and the (dim, 1) column of propagate; the real GEMM on the
-    # float view must give the complex product of the real V, written into a view of a buffer
+    # the (blocks, dim) stacks of run_schedule and the (dim, 1) column of propagate; the real
+    # GEMM on the float view must give the complex product of the real V, written into a view
+    # of a buffer
     rng = np.random.default_rng(sum(shape))
     *stack, size, samples = shape
-    m = rng.normal(size=(*stack, size, size))
-    spectrum = eigendecompose(m + np.swapaxes(m, -1, -2))
+    m = rng.normal(size=(size, size))
+    spectrum = eigendecompose(m + m.T)
     amps = rng.normal(size=(*stack, size)) + 1j * rng.normal(size=(*stack, size))
     phases = evolution._phases(spectrum, rng.uniform(0.0, 5.0, samples))
     buffer = np.full((3 + amps.size + 2, samples), np.nan, dtype=complex)
-    window = buffer[3:-2].reshape(phases.shape)
-    weighted = np.empty_like(phases)
+    window = buffer[3:-2].reshape(*stack, size, samples)
+    weighted = np.empty_like(window)
     result = evolution._evolve(spectrum, amps, phases, (weighted, window))
     assert result is window
     assert np.isnan(buffer[:3]).all() and np.isnan(buffer[-2:]).all()
     v = spectrum.eigenvectors
-    assert np.array_equal(weighted, phases * (np.swapaxes(v, -1, -2) @ amps[..., None]))
+    assert np.array_equal(weighted, phases * (v.T @ amps[..., None]))
     expected = v.astype(complex) @ weighted
     scale = size * np.abs(weighted).max()
     assert np.abs(result - expected).max() <= 4 * np.finfo(float).eps * scale

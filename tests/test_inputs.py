@@ -6,12 +6,15 @@ that names the argument.
 """
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 
 from cavity_route import (
     RESONANT,
+    BlockHamiltonian,
     Evolve,
     ExcitationState,
     HexLatticeDescriptor,
@@ -22,6 +25,7 @@ from cavity_route import (
     Schedule,
     Site,
     SystemParams,
+    TraceResult,
     auto_grid_points,
     build_diamond_chain,
     build_hex_lattice,
@@ -38,6 +42,7 @@ from cavity_route import (
     switch_port_flip,
     switch_schedule,
 )
+from cavity_route.cli import emit_trace_csv
 
 INF = math.inf
 TWO_VERTEX = HexLatticeDescriptor(("a", "b"), (("a", 1, "b", 1),), ("a", "b"))
@@ -146,6 +151,86 @@ def test_route_that_turns_back_names_the_vertex(path, vertex):
     message = rf"^path turns back at '{vertex}' along the link it arrived by$"
     with pytest.raises(ValueError, match=message):
         hex_routing_schedule(THREE_IN_A_ROW, list(path), 1.0, 1.0)
+
+
+TWO_SITES = (Site(0, "a"), Site(1, "b"))
+NO_SAMPLES = np.empty(0)
+EMPTY_TRACE = TraceResult(
+    NO_SAMPLES, NO_SAMPLES, np.empty((0, 1)), ("atom[1]",), NO_SAMPLES, STATE, 0j, 0.0
+)
+
+# (the whole message, call): a well-formed value that is refused
+REFUSED = {
+    "block-not-square": (
+        "block matrix must be square",
+        lambda: BlockHamiltonian(np.zeros((2, 3)), ("x", "y")),
+    ),
+    "block-one-label-short": (
+        "one label per block basis vector required",
+        lambda: BlockHamiltonian(np.eye(2), ("x",)),
+    ),
+    "extract-dict-params": (
+        "params must be a SystemParams",
+        lambda: extract_block({"g": 65.0}, "end"),
+    ),
+    "propagate-other-dim": (
+        "state dim 4 != spectrum dim 6",
+        lambda: propagate(eigendecompose(extract_block(RESONANT, "mid")), STATE, 1.0),
+    ),
+    "params-json-list": (
+        "params must be a JSON object",
+        lambda: SystemParams.from_json_dict([65.0]),
+    ),
+    "site-unknown-role": ("unknown site role 'relay'", lambda: Site(0, "a", role="relay")),
+    "spec-no-sites": ("a network needs at least one site", lambda: NetworkSpec((), ())),
+    "spec-edge-pair": (
+        "edge must be (k, l, sign), got (0, 1)",
+        lambda: NetworkSpec(TWO_SITES, ((0, 1),)),
+    ),
+    "spec-edge-zero-sign": (
+        "edge sign must be +1 or -1, got 0",
+        lambda: NetworkSpec(TWO_SITES, ((0, 1, 0),)),
+    ),
+    "spec-json-list": (
+        "network spec must be a JSON object",
+        lambda: NetworkSpec.from_json_dict([]),
+    ),
+    "lattice-repeated-vertex": (
+        "vertices must be a non-empty list of unique names",
+        lambda: HexLatticeDescriptor(("a", "a"), (), ()),
+    ),
+    "lattice-link-triple": (
+        "link must be (a, port_a, b, port_b), got ('a', 1, 'b')",
+        lambda: HexLatticeDescriptor(("a", "b"), (("a", 1, "b"),), ()),
+    ),
+    "lattice-repeated-upload": (
+        "duplicate upload vertices",
+        lambda: HexLatticeDescriptor(("a", "b"), (("a", 1, "b", 1),), ("a", "a")),
+    ),
+    "lattice-json-list": (
+        "lattice descriptor must be a JSON object",
+        lambda: HexLatticeDescriptor.from_json_dict([]),
+    ),
+    "lattice-json-without-links": (
+        "malformed lattice descriptor: missing 'links'",
+        lambda: HexLatticeDescriptor.from_json_dict({"vertices": ["a"]}),
+    ),
+    "hex-zero-upload-time": (
+        "transfer times must be positive",
+        lambda: hex_routing_schedule(TWO_VERTEX, ["a", "b"], 0.0, 1.0),
+    ),
+    "csv-empty-trace": (
+        "refusing to write an empty trace",
+        lambda: emit_trace_csv(EMPTY_TRACE, os.devnull, 1.0, 0.0, ()),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refusal_is_one_value_error_with_its_message(name):
+    message, call = REFUSED[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 I, F = np.int64, np.float64

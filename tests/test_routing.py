@@ -517,9 +517,9 @@ BRICK_ROUTES = {
 @st.composite
 def networks_and_schedules(draw, max_units=4, walls=("1x2", "2x2"), vacuum=False):
     """A small network with its collective basis, a builder schedule or random steps,
-    an initial state (with a vacuum part whenever ``vacuum`` is set), and the basis with its
-    groups, and the rows of each, in a drawn order (block sizes interleave, rows leave row
-    order)."""
+    an initial state (with a vacuum part whenever ``vacuum`` is set), and the basis renumbered:
+    its blocks, and the rows of each, in a drawn order, numbered consecutively in that order
+    (block sizes interleave, and runs of one block matrix split or join)."""
     params = SystemParams(
         omega_c=draw(st.floats(-5.0, 5.0)),
         delta=draw(st.floats(-40.0, 40.0)),
@@ -557,10 +557,16 @@ def networks_and_schedules(draw, max_units=4, walls=("1x2", "2x2"), vacuum=False
         amps = np.array([1.0, 1j]) @ rng.normal(size=(2, spec.dim + 1))
         amps /= np.linalg.norm(amps)
         initial = ExcitationState(amps=amps[1:], vac=amps[0])
-    groups = tuple((name, tuple(draw(st.permutations(idx)))) for name, idx in basis.groups)
-    groups = tuple(draw(st.permutations(groups)))
-    shuffled = OrthogonalTransform(basis.entries, basis.labels, groups)
-    return spec, schedule, initial, draw(st.integers(2, 5)), basis, shuffled
+    blocks = draw(st.permutations(basis.groups))
+    drawn = [(name, draw(st.permutations(idx))) for name, idx in blocks]
+    old = [row for _, idx in drawn for row in idx]  # the basis row of each new row
+    new = np.argsort(old)  # the new row of each basis row
+    starts = np.cumsum([0] + [len(idx) for _, idx in drawn])
+    groups = tuple((name, tuple(range(a, a + len(idx)))) for (name, idx), a in zip(drawn, starts))
+    rows, cols, values = basis.entries
+    labels = tuple(basis.labels[row] for row in old)
+    renumbered = OrthogonalTransform((new[rows], cols, values), labels, groups)
+    return spec, schedule, initial, draw(st.integers(2, 5)), basis, renumbered
 
 
 def _expm_fold(spec, schedule, initial: ExcitationState) -> np.ndarray:
@@ -583,14 +589,14 @@ def _expm_fold(spec, schedule, initial: ExcitationState) -> np.ndarray:
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(case=networks_and_schedules())
 def test_run_schedule_matches_the_expm_fold(case):
-    spec, schedule, initial, samples, basis, shuffled = case
+    spec, schedule, initial, samples, basis, renumbered = case
     if initial is None:  # run_schedule starts from the source mode
         site, kind = schedule.source
         row = (atom_index if kind == "atom" else cavity_index)(site)
         initial = ExcitationState.excitation(spec.dim, row)
     expected = _expm_fold(spec, schedule, initial)
-    # one block, the topology's blocks, and those blocks in a drawn order
-    bases = (None, basis, shuffled)
+    # one block, the topology's blocks, and those blocks renumbered in a drawn order
+    bases = (None, basis, renumbered)
     traces = [run_schedule(spec, schedule, initial, samples, basis=b) for b in bases]
     for trace in traces:
         assert np.abs(trace.final_state.amps - expected).max() <= 1e-10
@@ -598,7 +604,7 @@ def test_run_schedule_matches_the_expm_fold(case):
         assert np.abs(trace.norms - math.sqrt(initial.norm_sq)).max() <= NORM_TOLERANCE
         # the same cavity rows, summed in another order
         assert trace.photon[-1] == pytest.approx(photon_population(trace.final_state), abs=1e-15)
-    # reordering the blocks may change only the order of the norm's sum
+    # renumbering the rows may change only the order of the photon and norm sums
     builder, reordered = traces[1:]
     assert np.abs(reordered.final_state.amps - builder.final_state.amps).max() <= 1e-12
     for name in ("times", "photon", "populations", "norms"):
@@ -608,9 +614,9 @@ def test_run_schedule_matches_the_expm_fold(case):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(case=networks_and_schedules(max_units=6, walls=("1x2", "2x2", "2x3"), vacuum=True))
 def test_block_path_matches_the_one_block_path(case):
-    spec, schedule, initial, samples, basis, shuffled = case
+    spec, schedule, initial, samples, basis, renumbered = case
     dense = run_schedule(spec, schedule, initial, samples)
-    for given_basis in (basis, shuffled):
+    for given_basis in (basis, renumbered):
         blocked = run_schedule(spec, schedule, initial, samples, basis=given_basis)
         assert np.abs(blocked.final_state.amps - dense.final_state.amps).max() <= 1e-10
         assert blocked.final_state.vac == dense.final_state.vac
@@ -636,19 +642,20 @@ def windows(monkeypatch):
     "spec, basis, calls",
     [
         # the first window holds only the sender block.  The flip at site 1 reaches the first
-        # relay block, so from then on the span covers the sender, the receiver between them in
-        # the window, and one of the two relays: one call per kind, over one block each
+        # relay block, the next one in the window, so from then on the span covers the sender
+        # and that relay: two runs of one block each.  The receiver block, last in the window,
+        # stays outside the span
         (
             build_diamond_chain(3, RESONANT),
             chain_collective_basis(3),
-            [(4, 1)] + [(4, 1), (4, 1), (6, 1)] * 2,
+            [(4, 1)] + [(4, 1), (6, 1)] * 2,
         ),
         (build_diamond_chain(3, RESONANT), None, [(20, 1)] * 3),  # one block of all 20 modes
-        # the four port blocks are one kind, and the flip at port 1's empty atom moves nothing
+        # the four port blocks are one run, and the flip at port 1's empty atom moves nothing
         (build_switch(RESONANT), switch_collective_basis(), [(4, 1)] * 3),
     ],
 )
-def test_a_run_calls_the_kernel_once_per_live_block_kind_per_window(windows, spec, basis, calls):
+def test_a_run_calls_the_kernel_once_per_live_run_per_window(windows, spec, basis, calls):
     # the refusals below assert no call at all, which only means something if a run makes them
     steps = (Evolve(0.3), PhaseFlip((1,)), Evolve(0.2), Evolve(0.1))
     schedule = Schedule(steps, (0, "atom"), (1, "atom"))
