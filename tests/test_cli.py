@@ -760,6 +760,25 @@ class TestNormDrift:
         assert code == 1
         assert err.startswith("numerical error: norm drift")
 
+    def test_drift_in_a_squeezed_window_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # A 20-unit chain at 241 samples evolves its relay run as the 6 rows of R from window 14
+        # on, when 13 relay blocks are live.  Eigenvectors scaled by 1 + eps scale the state by
+        # (1 + eps)^2 per window, so the norm drifts by about 2 k eps in window k: past 1e-9
+        # first in window 17, a squeezed one, whose norm is summed from R's rows
+        from cavity_route import routing
+        from cavity_route.evolution import Spectrum, eigendecompose
+
+        def skewed(h):
+            spectrum = eigendecompose(h)
+            return Spectrum(spectrum.eigenvalues, spectrum.eigenvectors * (1.0 + 1e-9 / 33))
+
+        monkeypatch.setattr(routing, "eigendecompose", skewed)
+        cfg = _with(CHAIN, n=20, output={"samples_per_window": 241}, protocol__times=[T1, T2])
+        code, err = run_failing(tmp_path, capsys, "simulate", cfg)
+        assert code == 1
+        assert err.startswith("numerical error: norm drift 1.03")
+        assert err.rstrip().endswith("in evolution window 17")
+
 
 def _brick_wall(rows, cols):
     """Vertices and links of a brick-wall lattice, the benchmark's layout."""

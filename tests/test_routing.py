@@ -515,11 +515,14 @@ BRICK_ROUTES = {
 
 
 @st.composite
-def networks_and_schedules(draw, max_units=4, walls=("1x2", "2x2"), vacuum=False):
-    """A small network with its collective basis, a builder schedule or random steps,
-    an initial state (with a vacuum part whenever ``vacuum`` is set), and the basis renumbered:
-    its blocks, and the rows of each, in a drawn order, numbered consecutively in that order
-    (block sizes interleave, and runs of one block matrix split or join)."""
+def networks_and_schedules(
+    draw, units=(1, 4), kinds=("chain", "switch", "1x2", "2x2"), vacuum=False, samples=(2, 5)
+):
+    """A network of ``kinds`` (a chain of ``units``) with its collective basis, a builder
+    schedule or random steps, an initial state (random, with a vacuum part, whenever ``vacuum``
+    is set), ``samples`` per window, and the basis renumbered: its blocks, and the rows of each,
+    in a drawn order, numbered consecutively in that order (block sizes interleave, and runs of
+    one block matrix split or join)."""
     params = SystemParams(
         omega_c=draw(st.floats(-5.0, 5.0)),
         delta=draw(st.floats(-40.0, 40.0)),
@@ -528,9 +531,9 @@ def networks_and_schedules(draw, max_units=4, walls=("1x2", "2x2"), vacuum=False
     )
     # expm's cost grows with |H| t: these keep the whole test near a second
     times = st.floats(0.01, 1.0)
-    kind = draw(st.sampled_from(["chain", "switch", *walls]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "chain":
-        n = draw(st.integers(1, max_units))
+        n = draw(st.integers(*units))
         spec, basis = build_diamond_chain(n, params), chain_collective_basis(n)
         built = chain_routing_schedule(n, draw(times), draw(times))
     elif kind == "switch":
@@ -566,7 +569,7 @@ def networks_and_schedules(draw, max_units=4, walls=("1x2", "2x2"), vacuum=False
     rows, cols, values = basis.entries
     labels = tuple(basis.labels[row] for row in old)
     renumbered = OrthogonalTransform((new[rows], cols, values), labels, groups)
-    return spec, schedule, initial, draw(st.integers(2, 5)), basis, renumbered
+    return spec, schedule, initial, draw(st.integers(*samples)), basis, renumbered
 
 
 def _expm_fold(spec, schedule, initial: ExcitationState) -> np.ndarray:
@@ -586,9 +589,7 @@ def _expm_fold(spec, schedule, initial: ExcitationState) -> np.ndarray:
     return amps
 
 
-@settings(derandomize=True, database=None, max_examples=50, deadline=None)
-@given(case=networks_and_schedules())
-def test_run_schedule_matches_the_expm_fold(case):
+def _matches_the_expm_fold(case):
     spec, schedule, initial, samples, basis, renumbered = case
     if initial is None:  # run_schedule starts from the source mode
         site, kind = schedule.source
@@ -611,9 +612,7 @@ def test_run_schedule_matches_the_expm_fold(case):
         assert np.abs(getattr(reordered, name) - getattr(builder, name)).max() <= 1e-12, name
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(case=networks_and_schedules(max_units=6, walls=("1x2", "2x2", "2x3"), vacuum=True))
-def test_block_path_matches_the_one_block_path(case):
+def _matches_the_one_block_path(case):
     spec, schedule, initial, samples, basis, renumbered = case
     dense = run_schedule(spec, schedule, initial, samples)
     for given_basis in (basis, renumbered):
@@ -624,15 +623,41 @@ def test_block_path_matches_the_one_block_path(case):
             assert np.abs(getattr(blocked, name) - getattr(dense, name)).max() <= 1e-10, name
 
 
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(case=networks_and_schedules())
+def test_run_schedule_matches_the_expm_fold(case):
+    _matches_the_expm_fold(case)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    case=networks_and_schedules(
+        units=(1, 6), kinds=("chain", "switch", "1x2", "2x2", "2x3"), vacuum=True
+    )
+)
+def test_block_path_matches_the_one_block_path(case):
+    _matches_the_one_block_path(case)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(case=networks_and_schedules(units=(14, 20), kinds=("chain",), vacuum=True, samples=(3, 6)))
+def test_a_squeezed_run_matches_the_expm_fold_and_the_one_block_path(case):
+    # the random state fills all 13-19 relay blocks, more than 2 x 6 plus any tracked one, so
+    # in the builder basis every window evolves them as the 6 rows of R: the sums come from R
+    _matches_the_expm_fold(case)
+    _matches_the_one_block_path(case)
+
+
 @pytest.fixture
 def windows(monkeypatch):
-    """Calls of the window kernel made by ``run_schedule``."""
+    """Calls of the window kernel made by ``run_schedule``, each as its block size, the number
+    of blocks (or rows of R) it evolves, and its number of samples."""
     calls = []
     original = routing._evolve
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(spectrum, amps, phases, *out):
+        calls.append((spectrum.dim, amps.shape[0], phases.shape[1]))
+        return original(spectrum, amps, phases, *out)
 
     monkeypatch.setattr(routing, "_evolve", counted)
     return calls
@@ -648,11 +673,11 @@ def windows(monkeypatch):
         (
             build_diamond_chain(3, RESONANT),
             chain_collective_basis(3),
-            [(4, 1)] + [(4, 1), (6, 1)] * 2,
+            [(4, 1, 3)] + [(4, 1, 3), (6, 1, 3)] * 2,
         ),
-        (build_diamond_chain(3, RESONANT), None, [(20, 1)] * 3),  # one block of all 20 modes
+        (build_diamond_chain(3, RESONANT), None, [(20, 1, 3)] * 3),  # one block of all 20 modes
         # the four port blocks are one run, and the flip at port 1's empty atom moves nothing
-        (build_switch(RESONANT), switch_collective_basis(), [(4, 1)] * 3),
+        (build_switch(RESONANT), switch_collective_basis(), [(4, 1, 3)] * 3),
     ],
 )
 def test_a_run_calls_the_kernel_once_per_live_run_per_window(windows, spec, basis, calls):
@@ -660,7 +685,27 @@ def test_a_run_calls_the_kernel_once_per_live_run_per_window(windows, spec, basi
     steps = (Evolve(0.3), PhaseFlip((1,)), Evolve(0.2), Evolve(0.1))
     schedule = Schedule(steps, (0, "atom"), (1, "atom"))
     run_schedule(spec, schedule, samples_per_window=3, basis=basis)
-    assert [(spectrum.dim, amps.shape[0]) for spectrum, amps, *_ in windows] == calls
+    assert windows == calls
+
+
+@pytest.mark.parametrize(
+    "samples, calls",
+    [
+        # 15 relay blocks, one of them holding the tracked target, are more than 2 x 6 + 1: per
+        # window the 6 rows of R at every sample, the tracked block at every sample, and all 15
+        # blocks at the last sample only.  The sender and receiver are runs of one block
+        (5, [(4, 1, 5), (6, 6, 5), (6, 1, 5), (6, 15, 1), (4, 1, 5)] * 2),
+        # a 2-sample window never squeezes: every block evolves at both samples
+        (2, [(4, 1, 2), (6, 15, 2), (4, 1, 2)] * 2),
+    ],
+)
+def test_a_long_run_evolves_the_rows_of_r_at_every_sample(windows, samples, calls):
+    spec, basis = build_diamond_chain(16, RESONANT), chain_collective_basis(16)
+    initial = ExcitationState(np.full(spec.dim, 1.0 / math.sqrt(spec.dim)))  # in every block
+    # site 15 is the vertex of unit 5, in the fifth relay block
+    schedule = Schedule((Evolve(0.3), PhaseFlip((1,)), Evolve(0.2)), (0, "atom"), (15, "atom"))
+    run_schedule(spec, schedule, initial, samples, basis=basis)
+    assert windows == calls
 
 
 def test_a_state_all_in_the_vacuum_evolves_no_block(windows):
