@@ -9,7 +9,7 @@ by an arbitrary phase.  ``entanglement_transfer`` applies no such step: it
 computes the phase-compensated Bell fidelity from the transfer amplitude.
 
 ``run_schedule`` evolves inside the invariant blocks of a collective basis, with one
-eigendecomposition per distinct block matrix; each flip is one round trip through the basis.
+eigendecomposition per distinct block matrix; each flip updates only the rows of its atoms.
 Without a basis the whole network is one block.  The window rows are the collective rows, and
 only a span of them that widens to every block that has held amplitude evolves: one call per
 run of neighbouring blocks with one matrix, over that run's blocks inside the span.  A long run
@@ -148,7 +148,7 @@ class Schedule:
 
 
 def local_phase_flip(state: ExcitationState, atom_sites) -> ExcitationState:
-    """Flip the sign of the atom amplitude at each listed site (``PhaseFlip`` checks the sites)."""
+    """Negate the atom amplitude at each listed site: the site-basis reference of a flip."""
     sites = PhaseFlip(atom_sites).atom_sites
     _count(max(sites), "atom site", 0, state.dim // 2 - 1)
     amps = state.amps.copy()
@@ -328,15 +328,15 @@ def run_schedule(
     exceeds ``1e-12 max(1, max |H|)`` (it would give wrong dynamics), or one with a row mixing
     cavity and atom modes raises ``ValueError`` before any window.
 
-    Populations are sampled on ``samples_per_window`` equally spaced points
-    per evolution window (window edges included; the duplicate sample at a
-    window joint is dropped since instantaneous flips do not change any
-    population).  ``track`` is an optional list of ``(site, kind)`` modes, kind
-    ``"cavity"`` or ``"atom"``, each labelled ``kind[site label]``; by default
-    the source and target modes are tracked.  A window may hold at most
-    ``ARRAY_BUDGET`` amplitudes (``samples_per_window x dim``).
-    A non-finite norm, or one that drifts from the initial norm by more than
-    ``NORM_TOLERANCE``, raises ``FloatingPointError``.
+    Populations are sampled on ``samples_per_window`` equally spaced points per evolution window
+    (window edges included; the duplicate sample at a window joint is dropped since instantaneous
+    flips do not change any population).  A flip or shift by ``f`` on the atoms ``S`` is
+    ``Q D Q^T = I + (f - 1) Q_S Q_S^T``, with ``Q_S`` the columns of ``Q`` at ``S``, so it updates
+    only the collective rows that hold those atoms.  ``track`` is an optional list of
+    ``(site, kind)`` modes, kind ``"cavity"`` or ``"atom"``, each labelled ``kind[site label]``;
+    by default the source and target modes are tracked.  A window may hold at most
+    ``ARRAY_BUDGET`` amplitudes (``samples_per_window x dim``).  A non-finite norm, or one that
+    drifts from the initial norm by more than ``NORM_TOLERANCE``, raises ``FloatingPointError``.
 
     Where more than ``2 d`` live blocks (plus one per tracked block) run with one ``d x d``
     matrix in a window of more than 2 samples, the ``d`` rows of ``R`` from a QR of their
@@ -387,6 +387,7 @@ def run_schedule(
     cavity = kind[:, 0] == 0
     columns, coefs = basis._columns
     tracked_view = (columns[modes], coefs[modes])
+    flip_view = {step: (columns[r], coefs[r]) for step, r in atom_rows.items()}  # Q_S per step
     # the blocks that hold a tracked row
     held = set(np.searchsorted(cuts[1:], tracked_view[0][tracked_view[1] != 0], "right").tolist())
     # per block: the key of its spectrum, and its cavity/atom row pattern
@@ -421,10 +422,9 @@ def run_schedule(
     # zeroed again
     lo, hi = spec.dim, 0
     for step in schedule.steps:
-        if not isinstance(step, Evolve):
-            amps = basis.from_collective(x)
-            amps[atom_rows[step]] *= step.factor
-            x[:] = basis.to_collective(amps)
+        if not isinstance(step, Evolve):  # x += (f - 1) Q_S Q_S^T x; zero-padded slots add 0
+            rows, c = flip_view[step]
+            np.add.at(x, rows, c * ((step.factor - 1) * np.einsum("sk,sk->s", c, x[rows]))[:, None])
             continue
         live = x.nonzero()[0]
         if live.size:  # a state all in the vacuum evolves no row

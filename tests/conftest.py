@@ -30,3 +30,17 @@ def dense_hamiltonian(spec):
     h = numpy.zeros((spec.dim, spec.dim))
     h[rows, cols] = values
     return h
+
+
+def brick_wall(rows, cols):
+    """Vertices and links of the benchmark's brick-wall lattice: ``(r, c)-(r, c+1)`` joins ports 1
+    and 2, and ``(r, c)-(r+1, c)`` joins the two port-3s when ``r + c`` is even."""
+    vertices = [f"r{r}c{c}" for r in range(rows) for c in range(cols)]
+    links = [(f"r{r}c{c}", 1, f"r{r}c{c + 1}", 2) for r in range(rows) for c in range(cols - 1)]
+    links += [
+        (f"r{r}c{c}", 3, f"r{r + 1}c{c}", 3)
+        for r in range(rows - 1)
+        for c in range(cols)
+        if (r + c) % 2 == 0
+    ]
+    return vertices, links

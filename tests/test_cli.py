@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import dense_hamiltonian
+from conftest import brick_wall, dense_hamiltonian
 from cavity_route.cli import main
 
 PARAMS = {"omega_c": 1.0, "delta": 0.0, "g": 65.0, "j": 1.0}
@@ -780,20 +780,6 @@ class TestNormDrift:
         assert err.rstrip().endswith("in evolution window 17")
 
 
-def _brick_wall(rows, cols):
-    """Vertices and links of a brick-wall lattice, the benchmark's layout."""
-    name = "r{}c{}".format
-    vertices = [name(r, c) for r in range(rows) for c in range(cols)]
-    links = [[name(r, c), 1, name(r, c + 1), 2] for r in range(rows) for c in range(cols - 1)]
-    links += [
-        [name(r, c), 3, name(r + 1, c), 3]
-        for r in range(rows - 1)
-        for c in range(cols)
-        if (r + c) % 2 == 0
-    ]
-    return vertices, links
-
-
 class TestBlockNativeProtocols:
     @pytest.mark.parametrize(
         "command, cfg",
@@ -808,8 +794,8 @@ class TestBlockNativeProtocols:
                 {
                     "topology": "hex_lattice",
                     "descriptor": {
-                        "vertices": _brick_wall(3, 3)[0],
-                        "links": _brick_wall(3, 3)[1],
+                        "vertices": brick_wall(3, 3)[0],
+                        "links": brick_wall(3, 3)[1],
                         "uploads": ["r0c0", "r1c2"],
                     },
                     "protocol": {
@@ -871,7 +857,7 @@ class TestBlockNativeProtocols:
         layouts = []
         original = network.HexLayout
         monkeypatch.setattr(network, "HexLayout", lambda **k: layouts.append(k) or original(**k))
-        vertices, links = _brick_wall(3, 3)
+        vertices, links = brick_wall(3, 3)
         cfg = {
             "topology": "hex_lattice",
             "descriptor": {"vertices": vertices, "links": links, "uploads": ["r0c0", "r1c2"]},

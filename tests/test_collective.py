@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_hamiltonian
+from conftest import brick_wall, dense_hamiltonian
 from cavity_route import (
     DISPERSIVE,
     RESONANT,
@@ -354,18 +354,6 @@ def test_every_basis_is_orthonormal_and_splits_into_blocks(case):
     assert residual <= 1e-12
 
 
-def _brick_wall(rows, cols):
-    vertices = [f"r{r}c{c}" for r in range(rows) for c in range(cols)]
-    links = [(f"r{r}c{c}", 1, f"r{r}c{c + 1}", 2) for r in range(rows) for c in range(cols - 1)]
-    links += [
-        (f"r{r}c{c}", 3, f"r{r + 1}c{c}", 3)
-        for r in range(rows - 1)
-        for c in range(cols)
-        if (r + c) % 2 == 0
-    ]
-    return vertices, links
-
-
 @st.composite
 def system_params(draw):
     """Both regimes at the reference couplings, or anything in a wide range."""
@@ -385,7 +373,7 @@ def chains_and_brick_walls(draw):
     if draw(st.booleans()):
         n = draw(st.integers(1, 40))
         return build_diamond_chain(n, params), chain_collective_basis(n), "chain"
-    vertices, links = _brick_wall(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    vertices, links = brick_wall(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     uploads = draw(st.lists(st.sampled_from(vertices), unique=True))
     desc = HexLatticeDescriptor(vertices, links, uploads)
     return build_hex_lattice(desc, params), lattice_collective_basis(desc), "lattice"

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import dense_hamiltonian
+from conftest import brick_wall, dense_hamiltonian
 from cavity_route import (
     RESONANT,
     Evolve,
@@ -516,13 +516,19 @@ BRICK_ROUTES = {
 
 @st.composite
 def networks_and_schedules(
-    draw, units=(1, 4), kinds=("chain", "switch", "1x2", "2x2"), vacuum=False, samples=(2, 5)
+    draw,
+    units=(1, 4),
+    kinds=("chain", "switch", "1x2", "2x2"),
+    vacuum=False,
+    samples=(2, 5),
+    builder=False,
 ):
     """A network of ``kinds`` (a chain of ``units``) with its collective basis, a builder
-    schedule or random steps, an initial state (random, with a vacuum part, whenever ``vacuum``
-    is set), ``samples`` per window, and the basis renumbered: its blocks, and the rows of each,
-    in a drawn order, numbered consecutively in that order (block sizes interleave, and runs of
-    one block matrix split or join)."""
+    schedule or random steps (the builder's steps, then random ones, whenever ``builder`` is
+    set), an initial state (random, with a vacuum part, whenever ``vacuum`` is set), ``samples``
+    per window, and the basis renumbered: its blocks, and the rows of each, in a drawn order,
+    numbered consecutively in that order (block sizes interleave, and runs of one block matrix
+    split or join)."""
     params = SystemParams(
         omega_c=draw(st.floats(-5.0, 5.0)),
         delta=draw(st.floats(-40.0, 40.0)),
@@ -550,7 +556,7 @@ def networks_and_schedules(
         st.builds(PhaseShift, sites, st.floats(-math.pi, math.pi)),
     )
     steps = draw(st.lists(step, max_size=6))
-    if draw(st.booleans()) or not any(isinstance(s, Evolve) for s in steps):
+    if builder or draw(st.booleans()) or not any(isinstance(s, Evolve) for s in steps):
         steps = list(built.steps) + steps
     kinds = st.sampled_from(["atom", "cavity"])
     schedule = Schedule(tuple(steps), (draw(sites), draw(kinds)), (draw(sites), draw(kinds)))
@@ -603,7 +609,8 @@ def _matches_the_expm_fold(case):
         assert np.abs(trace.final_state.amps - expected).max() <= 1e-10
         assert trace.final_state.vac == initial.vac
         assert np.abs(trace.norms - math.sqrt(initial.norm_sq)).max() <= NORM_TOLERANCE
-        # the same cavity rows, summed in another order
+        # the same cavity populations from other amplitudes: the last evolved column summed in
+        # collective rows, and from_collective of the state summed in site rows
         assert trace.photon[-1] == pytest.approx(photon_population(trace.final_state), abs=1e-15)
     # renumbering the rows may change only the order of the photon and norm sums
     builder, reordered = traces[1:]
@@ -646,6 +653,34 @@ def test_a_squeezed_run_matches_the_expm_fold_and_the_one_block_path(case):
     # in the builder basis every window evolves them as the 6 rows of R: the sums come from R
     _matches_the_expm_fold(case)
     _matches_the_one_block_path(case)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    case=networks_and_schedules(
+        units=(1, 6), kinds=("chain", "switch", "1x2", "2x2", "2x3"), vacuum=True, builder=True
+    )
+)
+def test_a_flip_updates_the_collective_rows_as_the_site_reference(case):
+    # every builder flip, then random flips and shifts, such as one inner atom of a vertex,
+    # whose action on the collective rows is no signed permutation.  An empty window comes
+    # first, so the steps after it act on the collective rows that the run without them ends on
+    spec, schedule, initial, _, basis, renumbered = case
+    atom_steps = tuple(step for step in schedule.steps if not isinstance(step, Evolve))
+    ends = (schedule.source, schedule.target)
+    for given_basis in (None, basis, renumbered):
+        runs = [
+            run_schedule(spec, Schedule(steps, *ends), initial, 2, basis=given_basis).final_state
+            for steps in ((Evolve(0.0),), (Evolve(0.0), *atom_steps))
+        ]
+        expected = runs[0]
+        for step in atom_steps:
+            if isinstance(step, PhaseFlip):
+                expected = local_phase_flip(expected, step.atom_sites)
+            else:
+                expected.amps[atom_index(step.site)] *= np.exp(1j * step.angle)
+        assert np.abs(runs[1].amps - expected.amps).max() <= 1e-14
+        assert runs[1].vac == initial.vac
 
 
 @pytest.fixture
@@ -706,6 +741,37 @@ def test_a_long_run_evolves_the_rows_of_r_at_every_sample(windows, samples, call
     schedule = Schedule((Evolve(0.3), PhaseFlip((1,)), Evolve(0.2)), (0, "atom"), (15, "atom"))
     run_schedule(spec, schedule, initial, samples, basis=basis)
     assert windows == calls
+
+
+# the benchmark's first 10-hop route on its 6x6 brick wall: 99 blocks, 12 windows
+ROUTE_6X6 = ["r0c0", "r1c0", "r1c1", "r2c1", "r2c0", "r3c0", "r3c1", "r4c1", "r4c0", "r5c0", "r5c1"]
+
+
+@pytest.mark.parametrize(
+    "delta, t_upload, t_hop",
+    [(0.0, T_UPLOAD, T_HOP), (-1000.0, 188.495939869, 266.570425424)],
+    ids=["resonant", "dispersive"],
+)
+def test_blocks_a_route_never_reaches_stay_exactly_empty(monkeypatch, delta, t_upload, t_hop):
+    # a flip writes only the collective rows of its atoms, and a builder flip moves a live row
+    # onto an empty one exactly, so no block gets rounding residue that the span then evolves:
+    # one call per run of one block matrix, and every evolved block is empty or holds amplitude
+    peaks = []  # per call: the largest |amplitude| of each block it evolves
+    original = routing._evolve
+
+    def spied(spectrum, amps, *rest):
+        peaks.append(np.abs(amps).max(axis=1))
+        return original(spectrum, amps, *rest)
+
+    monkeypatch.setattr(routing, "_evolve", spied)
+    vertices, links = brick_wall(6, 6)
+    desc = HexLatticeDescriptor(vertices, links, (ROUTE_6X6[0], ROUTE_6X6[-1]))
+    spec = build_hex_lattice(desc, SystemParams(delta=delta))
+    schedule = hex_routing_schedule(desc, ROUTE_6X6, t_upload, t_hop)
+    run_schedule(spec, schedule, samples_per_window=2, basis=lattice_collective_basis(desc))
+    assert len(peaks) == 23
+    peaks = np.concatenate(peaks)
+    assert not np.any((0.0 < peaks) & (peaks < 1e-12))
 
 
 def test_a_state_all_in_the_vacuum_evolves_no_block(windows):
