@@ -10,7 +10,8 @@ off-block residual, from the nonzeros of both, with no ``dim x dim`` array.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .network import (
     Site,
     SystemParams,
     _count,
+    _link_slots,
     _listed,
     atom_index,
     build_single_excitation_hamiltonian,
@@ -66,11 +68,12 @@ def _nonzeros(m, dim: int, what: str, diagonal: bool = False):
 
 def _padded(dim: int, rows, cols, values) -> tuple[np.ndarray, np.ndarray]:
     """Per row ``i < dim``: its ``cols`` and ``values``, zero-padded; ``rows`` is sorted."""
-    slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # place inside its row
-    index = np.zeros((dim, int(slot.max(initial=0)) + 1), dtype=np.intp)
-    padded = np.zeros(index.shape)
-    index[rows, slot], padded[rows, slot] = cols, values
-    return index, padded
+    counts = np.bincount(rows, minlength=dim)
+    width = int(counts.max(initial=1))
+    at = rows * width + np.arange(rows.size) - (counts.cumsum() - counts)[rows]  # row, place in it
+    index, padded = np.zeros(dim * width, dtype=np.intp), np.zeros(dim * width)
+    index[at], padded[at] = cols, values
+    return index.reshape(dim, width), padded.reshape(dim, width)
 
 
 def _sparse_product(view: tuple[np.ndarray, np.ndarray], vec) -> np.ndarray:
@@ -98,16 +101,22 @@ class OrthogonalTransform:
         object.__setattr__(self, "labels", _listed(self.labels, "transform labels", str))
         dim = len(self.labels)
         rows, cols, values = _nonzeros(self.entries, dim, "transform")
-        order = np.lexsort((cols, rows))  # row by row, each row by column
+        order = (rows * dim + cols).argsort(kind="stable")  # row by row, each row by column
         rows, cols, values = rows[order], cols[order], values[order]
         object.__setattr__(self, "entries", (rows, cols, values))
         groups = _listed(self.groups, "groups", (list, tuple))
-        if any(len(group) != 2 for group in groups):
+        if set(map(len, groups)) - {2}:
             raise ValueError(f"groups must be (name, rows) pairs, got {self.groups!r}")
-        ids = [_listed(idx, "group rows") for _, idx in groups]
-        sizes = np.array([len(idx) for idx in ids], dtype=np.intp)
-        members = [_count(i, "group row", 0, dim - 1) for idx in ids for i in idx]
-        if not (dim and sizes.all() and members == list(range(dim))):
+        ids = list(map(itemgetter(1), groups))
+        # int rows are checked at once; others, or a failed check, row by row for the message
+        members = list(chain.from_iterable(ids)) if set(map(type, ids)) <= {list, tuple} else ()
+        partition = set(map(type, members)) <= {int} and members == list(range(dim))
+        if not partition:
+            ids = [_listed(idx, "group rows") for idx in ids]
+            members = [_count(i, "group row", 0, dim - 1) for idx in ids for i in idx]
+            partition = members == list(range(dim))
+        sizes = np.fromiter(map(len, ids), np.intp, len(ids))
+        if not (dim and sizes.all() and partition):
             raise ValueError("groups must partition the rows in order into runs of consecutive rows")
         # per row: its group, its place in it, and where its row of the group's block starts
         owner = np.repeat(np.arange(sizes.size), sizes)
@@ -160,43 +169,41 @@ class BlockHamiltonian:
         return self.matrix.shape[0]
 
 
-#: ``(label, {mode index: coefficient})`` per collective mode
-Modes = list[tuple[str, dict[int, float]]]
+#: Weights of a vertex's pair ``xi_p`` over its inner sites (row p), and of an outer site's pair.
+_HADAMARD, _OUTER = np.array(HADAMARD_SIGNS) / 2.0, np.array([1.0, 0.0, 0.0, 0.0])
+
+#: Rows and cols of the chain basis's nonzeros in the rows ``c1+, a1+, c1-, a1-, c2, a2`` of
+#: unit 1, and their values; unit k + 1 repeats them 6k rows and cols further on.
+_CHAIN_AT = np.array([[2, 2, 3, 3, 4, 4, 5, 5, 6, 7], [2, 4, 3, 5, 2, 4, 3, 5, 6, 7]])
+_CHAIN_VALUES = np.array([1, 1, 1, 1, 1, -1, 1, -1, np.sqrt(2.0), np.sqrt(2.0)]) / np.sqrt(2.0)
+_CHAIN_TAGS = (("c", ""), ("a", ""), ("c", "+"), ("a", "+"), ("c", "-"), ("a", "-"))
 
 
-def _modes(label: str, coefs: dict[int, float]) -> Modes:
-    """Cavity and atom mode of the site combination ``coefs``.
-
-    The last ``{}`` in ``label`` takes ``c`` or ``a`` (vertex names before it may hold braces).
-    """
-    head, _, tail = label.rpartition("{}")
-    return [
-        (f"{head}{tag}{tail}", {index(site): coef for site, coef in coefs.items()})
-        for tag, index in (("c", cavity_index), ("a", atom_index))
-    ]
-
-
-def _hadamard_modes(label: str, inner, port: int) -> Modes:
-    """Modes ``xi = sum_k HADAMARD_SIGNS[port][k] |inner_k> / 2`` of one vertex port."""
-    return _modes(label, {site: sign / 2.0 for site, sign in zip(inner, HADAMARD_SIGNS[port])})
+def _vertex_modes(slots, xi, inner, occupant) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzeros of pairs ``u`` (cavity row ``2u``, atom row ``2u + 1``) at ``slots[u] = 4v + p``:
+    ``xi_p`` over sites ``inner[v] + (0..3)`` if ``xi[u]``, else site ``occupant[slots[u]]``."""
+    vertex, port = np.divmod(slots, 4)
+    sites = np.where(xi[:, None], inner[vertex][:, None] + np.arange(4), occupant[slots][:, None])
+    weights = np.where(xi[:, None], _HADAMARD[port], _OUTER)
+    pair, k = weights.nonzero()
+    rows, site, values = 2 * pair, sites[pair, k], weights[pair, k]
+    cols = np.concatenate([cavity_index(site), atom_index(site)])
+    return np.concatenate([rows, rows + 1]), cols, np.concatenate([values, values])
 
 
-def _transform(groups: list[tuple[str, Modes]]) -> OrthogonalTransform:
-    """Transform of ``groups``, each ``(name, [(label, {mode: coef}), ...])``.
-
-    Rows are numbered in group order, then mode order inside each group.
-    """
-    modes = [mode for _, members in groups for mode in members]
-    triples = [(r, col, val) for r, (_, coefs) in enumerate(modes) for col, val in coefs.items()]
-    entries = tuple(np.array(part) for part in zip(*triples))  # rows, cols, values
-    ends = accumulate(len(members) for _, members in groups)
-    index = tuple((name, tuple(range(end - len(m), end))) for (name, m), end in zip(groups, ends))
-    return OrthogonalTransform(entries, tuple(label for label, _ in modes), index)
+def _transform(entries, labels, names, runs) -> OrthogonalTransform:
+    """Transform of ``entries`` and row ``labels``, whose rows make the blocks ``names`` in
+    order: ``runs`` of ``(size, count)`` give ``count`` blocks of ``size`` rows each."""
+    rows, index = iter(range(len(labels))), []
+    for size, count in runs:
+        index += zip(*[islice(rows, size * count)] * size)  # count tuples of size rows each
+    return OrthogonalTransform(entries, tuple(labels), tuple(zip(names, index)))
 
 
 def _one_block(dim: int) -> OrthogonalTransform:
     """The ``dim`` modes as their own collective modes, all in one block: the whole matrix."""
-    return _transform([("network", [(str(m), {m: 1.0}) for m in range(dim)])])
+    entries = (np.arange(dim), np.arange(dim), np.ones(dim))
+    return _transform(entries, list(map(str, range(dim))), ["network"], [(dim, 1)])
 
 
 def chain_collective_basis(n: int) -> OrthogonalTransform:
@@ -210,15 +217,15 @@ def chain_collective_basis(n: int) -> OrthogonalTransform:
     ``(cn-, an-, c{n+1}, a{n+1})``.
     """
     n = _count(n, "chain units n", 1)
-    s = 1.0 / np.sqrt(2.0)
-    # unit k: vertex site id 3k (label 3k+1), control pair ids 3k-2 and 3k-1 (labels 3k-1, 3k)
-    vertex = [_modes(f"{{}}{k + 1}", {3 * k: 1.0}) for k in range(n + 1)]
-    plus = {k: _modes(f"{{}}{k}+", {3 * k - 2: s, 3 * k - 1: s}) for k in range(1, n + 1)}
-    minus = {k: _modes(f"{{}}{k}-", {3 * k - 2: s, 3 * k - 1: -s}) for k in range(1, n + 1)}
-    groups = [("block1", vertex[0] + plus[1])]
-    groups += [(f"block{k + 1}", minus[k] + vertex[k] + plus[k + 1]) for k in range(1, n)]
-    groups.append((f"block{n + 1}", minus[n] + vertex[n]))
-    return _transform(groups)
+    offset = 6 * np.arange(n)[:, None]  # of unit k + 1's rows and cols from unit 1's
+    rows, cols = (np.concatenate([[0, 1], (offset + at).ravel()]) for at in _CHAIN_AT)
+    values = np.concatenate([[1.0, 1.0], np.tile(_CHAIN_VALUES, n)])
+    units = "|".join(map(str, range(1, n + 2)))
+    # per vertex k, the labels c{k}, a{k}, c{k}+, a{k}+, c{k}-, a{k}-; the last has no pair
+    tagged = [(t + units.replace("|", f"{end}|{t}") + end).split("|") for t, end in _CHAIN_TAGS]
+    labels = tuple(islice(chain.from_iterable(zip(*tagged)), 6 * n + 2))
+    names = ("block" + units.replace("|", "|block")).split("|")
+    return _transform((rows, cols, values), labels, names, [(4, 1), (6, n - 1), (4, 1)])
 
 
 def switch_collective_basis() -> OrthogonalTransform:
@@ -230,12 +237,10 @@ def switch_collective_basis() -> OrthogonalTransform:
     ``(nu_i.c, nu_i.a, xi_i.c, xi_i.a)`` and couples ``nu_i`` to ``xi_i``
     with strength ``2j``.
     """
-    inner = (4, 5, 6, 7)
-    groups = [
-        (f"port{i}", _modes(f"nu{i}.{{}}", {i: 1.0}) + _hadamard_modes(f"xi{i}.{{}}", inner, i))
-        for i in range(4)
-    ]
-    return _transform(groups)
+    ports = np.arange(4)
+    entries = _vertex_modes(ports.repeat(2), np.array([False, True] * 4), np.array([4]), ports)
+    labels = [f"{name}{i}.{tag}" for i in range(4) for name in ("nu", "xi") for tag in "ca"]
+    return _transform(entries, labels, [f"port{i}" for i in range(4)], [(4, 4)])
 
 
 def lattice_collective_basis(desc: HexLatticeDescriptor) -> OrthogonalTransform:
@@ -246,33 +251,26 @@ def lattice_collective_basis(desc: HexLatticeDescriptor) -> OrthogonalTransform:
     ``(xi_a, link, xi_b)``; together they cover every mode exactly once.
     """
     layout = hex_lattice_layout(desc)
-
-    def site(v: str, port: int):
-        occ = layout.occupant[(v, port)]
-        return _modes(f"{layout.sites[occ].label}.{{}}", {occ: 1.0})
-
-    def xi(v: str, port: int):
-        return _hadamard_modes(f"xi[{v},{port}].{{}}", layout.inner[v], port)
-
-    linked = {(a, pa) for a, pa, _, _ in desc.links} | {(b, pb) for _, _, b, pb in desc.links}
-    # port-0 blocks (upload or dangling) in vertex order
-    groups = [
-        (f"up[{v}]" if v in desc.uploads else f"p0[{v}]", site(v, 0) + xi(v, 0))
-        for v in desc.vertices
-    ]
-    # 6-dim hop blocks in link order
-    groups += [
-        (f"hop[{a}{pa}-{b}{pb}]", xi(a, pa) + site(a, pa) + xi(b, pb))
-        for a, pa, b, pb in desc.links
-    ]
-    # dangling planar ports in (vertex, port) order
-    groups += [
-        (f"p{port}[{v}]", site(v, port) + xi(v, port))
-        for v in desc.vertices
-        for port in (1, 2, 3)
-        if (v, port) not in linked
-    ]
-    return _transform(groups)
+    vertices, links, size = desc.vertices, desc.links, 4 * len(desc.vertices)
+    ends = _link_slots(desc)
+    free = np.ones(size, dtype=bool)
+    free[ends] = free[::4] = False
+    free = free.nonzero()[0]  # the dangling planar ports, in (vertex, port) order
+    # (site, xi) per port-0 block in vertex order, (xi_a, link, xi_b) per hop block in link
+    # order, then (site, xi) per dangling planar port
+    first = np.arange(0, size, 4)  # the port-0 slot and the first inner site of each vertex
+    slots = np.concatenate([first.repeat(2), ends[:, [0, 0, 1]].ravel(), free.repeat(2)])
+    xi = np.array([0, 1] * len(vertices) + [1, 0, 1] * len(links) + [0, 1] * free.size, dtype=bool)
+    outer = [layout.sites[site].label for site in layout.occupant.values()]
+    pairs = zip(slots.tolist(), xi.tolist())
+    heads = [f"xi[{vertices[s // 4]},{s % 4}]" if x else outer[s] for s, x in pairs]
+    labels = [f"{head}.{tag}" for head in heads for tag in "ca"]
+    names = [f"up[{v}]" if v in desc.uploads else f"p0[{v}]" for v in vertices]
+    names += ["hop[{}{}-{}{}]".format(*link) for link in links]
+    names += [f"p{slot % 4}[{vertices[slot // 4]}]" for slot in free.tolist()]
+    runs = [(4, len(vertices)), (6, len(links)), (4, free.size)]
+    occupant = np.fromiter(layout.occupant.values(), np.intp, size)  # in slot order
+    return _transform(_vertex_modes(slots, xi, first, occupant), labels, names, runs)
 
 
 def block_decompose(h, transform: OrthogonalTransform) -> tuple[list[BlockHamiltonian], float]:
@@ -299,7 +297,7 @@ def block_decompose(h, transform: OrthogonalTransform) -> tuple[list[BlockHamilt
     blocks = []
     for (name, idx), end in zip(transform.groups, ends):
         matrix = flat[end - len(idx) ** 2 : end].reshape(len(idx), -1)
-        blocks.append(BlockHamiltonian(matrix, tuple(transform.labels[k] for k in idx), name))
+        blocks.append(BlockHamiltonian(matrix, transform.labels[idx[0] : idx[0] + len(idx)], name))
     outside = ~inside
     if not outside.any():  # no off-block element to sum, and nothing to sort
         return blocks, 0.0

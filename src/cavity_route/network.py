@@ -29,6 +29,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -96,7 +97,8 @@ def _count(value, label: str, low: int, high: float = math.inf) -> int:
 
 def _listed(value, what: str, item=object) -> tuple:
     """``value`` as a tuple; it must be a list or tuple of ``item`` instances."""
-    if not (isinstance(value, (list, tuple)) and all(isinstance(v, item) for v in value)):
+    listed = isinstance(value, (list, tuple))
+    if not (listed and all(issubclass(t, item) for t in set(map(type, value)))):
         raise ValueError(f"malformed {what}: {value!r}")
     return tuple(value)
 
@@ -208,6 +210,48 @@ class Site:
             raise ValueError(f"unknown site role {self.role!r}")
 
 
+def _sites(labels: list[str], roles: list[str]) -> tuple[Site, ...]:
+    """``Site(i, labels[i], roles[i])`` for each ``i``, its labels checked once, as one text."""
+    try:  # labels are plain text if and only if they join into plain text
+        _label("".join(labels), "site label")
+    except ValueError:  # the first refused label raises its own message
+        for label in labels:
+            _label(label, "site label")
+    made = tuple(object.__new__(Site) for _ in labels)  # bare: the fields follow, unchecked
+    for i, (site, label, role) in enumerate(zip(made, labels, roles)):
+        vars(site).update(id=i, label=label, role=role)
+    return made
+
+
+def _edges(edges, last: int) -> tuple[tuple[int, int, int], ...]:
+    """``edges`` as ``(k, l, sign)`` triples of ints.  Triples of ints are checked all at once;
+    any others, or triples that fail, edge by edge, so the first refused edge raises its message."""
+    edges = _listed(edges, "edges", (list, tuple))
+    flat = list(chain.from_iterable(edges))
+    if set(map(len, edges)) <= {3} and set(map(type, flat)) <= {int}:
+        k, l, sign = flat[0::3], flat[1::3], flat[2::3]
+        pairs = set(zip(k, l))  # a pair met again, reversed or as a self-loop, is in zip(l, k)
+        if (0 <= min(k + l, default=0) and max(k + l, default=0) <= last and set(sign) <= {-1, 1}
+                and len(pairs) == len(edges) and pairs.isdisjoint(zip(l, k))):
+            return tuple(zip(k, l, sign))
+    checked, seen = [], set()
+    for edge in edges:
+        if len(edge) != 3:
+            raise ValueError(f"edge must be (k, l, sign), got {edge!r}")
+        k, l = (_count(site, "edge site", 0, last) for site in edge[:2])
+        sign = _count(edge[2], "edge sign", -1, 1)
+        if k == l:
+            raise ValueError(f"edge {edge!r} is a self-loop")
+        if sign == 0:
+            raise ValueError(f"edge sign must be +1 or -1, got {sign!r}")
+        pair = (min(k, l), max(k, l))
+        if pair in seen:
+            raise ValueError(f"duplicate edge for site pair {pair}")
+        seen.add(pair)
+        checked.append((k, l, sign))
+    return tuple(checked)
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Immutable description of a network: sites, signed edges, parameters.
@@ -225,29 +269,11 @@ class NetworkSpec:
         object.__setattr__(self, "sites", _listed(self.sites, "sites", Site))
         if not self.sites:
             raise ValueError("a network needs at least one site")
-        for pos, site in enumerate(self.sites):
-            if site.id != pos:
-                raise ValueError(
-                    f"site ids must be consecutive from 0; position {pos} has id {site.id}"
-                )
-        last, edges = len(self.sites) - 1, []
-        seen: set[tuple[int, int]] = set()
-        for edge in _listed(self.edges, "edges", (list, tuple)):
-            if len(edge) != 3:
-                raise ValueError(f"edge must be (k, l, sign), got {edge!r}")
-            k, l, sign = edge
-            k, l = _count(k, "edge site", 0, last), _count(l, "edge site", 0, last)
-            sign = _count(sign, "edge sign", -1, 1)
-            if k == l:
-                raise ValueError(f"edge {edge!r} is a self-loop")
-            if sign == 0:
-                raise ValueError(f"edge sign must be +1 or -1, got {sign!r}")
-            pair = (min(k, l), max(k, l))
-            if pair in seen:
-                raise ValueError(f"duplicate edge for site pair {pair}")
-            seen.add(pair)
-            edges.append((k, l, sign))
-        object.__setattr__(self, "edges", tuple(edges))
+        ids = [site.id for site in self.sites]
+        if ids != list(range(len(ids))):
+            p = next(p for p, i in enumerate(ids) if i != p)
+            raise ValueError(f"site ids must be consecutive from 0; position {p} has id {ids[p]}")
+        object.__setattr__(self, "edges", _edges(self.edges, len(ids) - 1))
 
     @property
     def num_sites(self) -> int:
@@ -312,28 +338,12 @@ def build_diamond_chain(n: int, params: SystemParams | None = None) -> NetworkSp
     NetworkSpec
     """
     n = _count(n, "chain units n", 1)
-    params = params or SystemParams()
-    num_sites = 3 * n + 1
-    vertex_labels = {3 * k + 1 for k in range(n + 1)}  # 1, 4, 7, ..., 3n+1
-    sites = tuple(
-        Site(
-            id=i,
-            label=str(i + 1),
-            role="vertex" if (i + 1) in vertex_labels else "control",
-        )
-        for i in range(num_sites)
-    )
-    edges: list[tuple[int, int, int]] = []
-    for k in range(n):
-        left = 3 * k          # vertex, label 3k+1
-        up = 3 * k + 1        # control, label 3k+2
-        down = 3 * k + 2      # control, label 3k+3
-        right = 3 * k + 3     # vertex, label 3k+4
-        edges.append((left, up, 1))
-        edges.append((left, down, 1))
-        edges.append((up, right, 1))
-        edges.append((down, right, -1))
-    return NetworkSpec(sites=sites, edges=tuple(edges), params=params)
+    roles = ["vertex", "control", "control"] * n + ["vertex"]
+    sites = _sites(list(map(str, range(1, 3 * n + 2))), roles)
+    # unit k joins vertex 3k to vertex 3k + 3 through the control pair 3k + 1, 3k + 2
+    unit = ((0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, -1))
+    edges = tuple((k + a, k + b, sign) for k in range(0, 3 * n, 3) for a, b, sign in unit)
+    return NetworkSpec(sites=sites, edges=edges, params=params or SystemParams())
 
 
 def build_switch(params: SystemParams | None = None) -> NetworkSpec:
@@ -353,16 +363,10 @@ def build_switch(params: SystemParams | None = None) -> NetworkSpec:
     -------
     NetworkSpec
     """
-    params = params or SystemParams()
-    sites = tuple(
-        [Site(id=0, label="nu0", role="upload")]
-        + [Site(id=j, label=f"nu{j}", role="port") for j in (1, 2, 3)]
-        + [Site(id=4 + i, label=f"mu{i}", role="control") for i in range(4)]
-    )
-    edges = tuple(
-        (4 + i, j, HADAMARD_SIGNS[i][j]) for i in range(4) for j in range(4)
-    )
-    return NetworkSpec(sites=sites, edges=edges, params=params)
+    roles = ["upload", "port", "port", "port"] + ["control"] * 4
+    sites = _sites("nu0 nu1 nu2 nu3 mu0 mu1 mu2 mu3".split(), roles)
+    edges = tuple((4 + i, j, HADAMARD_SIGNS[i][j]) for i in range(4) for j in range(4))
+    return NetworkSpec(sites=sites, edges=edges, params=params or SystemParams())
 
 
 @dataclass(frozen=True)
@@ -392,14 +396,13 @@ class HexLatticeDescriptor:
         if len(set(self.vertices)) != len(self.vertices) or not self.vertices:
             raise ValueError("vertices must be a non-empty list of unique names")
         known = set(self.vertices)
-        links: list[tuple[str, int, str, int]] = []
-        used: set[tuple[str, int]] = set()
+        links, used = [], set()
         for link in _listed(self.links, "links", (list, tuple)):
             if len(link) != 4:
                 raise ValueError(f"link must be (a, port_a, b, port_b), got {link!r}")
             a, pa, b, pb = link
-            # tuple membership compares with ==, so an unhashable name is just unknown
-            if a not in self.vertices or b not in self.vertices:
+            # a name is known only as a str: an unhashable one is just unknown
+            if not (isinstance(a, str) and a in known and isinstance(b, str) and b in known):
                 raise ValueError(f"link {link!r} references an unknown vertex")
             if a == b:
                 raise ValueError(f"link {link!r} joins a vertex to itself")
@@ -433,7 +436,7 @@ class HexLayout:
     ``inner[v]`` lists the four control-site ids of vertex ``v`` in port
     order; ``occupant[(v, p)]`` is the id of the outer site seen from port
     ``p`` of vertex ``v`` (an upload site, a shared link site, or a dangling
-    port site).  Link sites appear as the occupant of both of their ends.
+    port site), in (vertex, port) order.  Link sites are the occupant of both ends.
     """
 
     inner: dict[str, tuple[int, int, int, int]]
@@ -453,38 +456,37 @@ def hex_lattice_layout(desc: HexLatticeDescriptor) -> HexLayout:
     """
     if "_layout" in vars(desc):
         return desc._layout
-    sites: list[Site] = []
-
-    def new_site(label: str, role: str) -> int:
-        sites.append(Site(id=len(sites), label=label, role=role))
-        return sites[-1].id
-
-    inner = {v: tuple(new_site(f"{v}.mu{i}", "control") for i in range(4)) for v in desc.vertices}
-    link_of = {end: link for link in desc.links for end in (link[:2], link[2:])}
-    occupant: dict[tuple[str, int], int] = {}
-    for v in desc.vertices:
-        for port in range(4):
-            key, link = (v, port), link_of.get((v, port))
-            if link is not None:
-                far = link[2:] if link[:2] == key else link[:2]
-                if far in occupant:
-                    occupant[key] = occupant[far]
-                    continue
-                label, role = "{}{}-{}{}".format(*link), "port"
-            elif port == 0 and v in desc.uploads:
-                label, role = f"{v}.up", "upload"
-            else:
-                label, role = f"{v}.p{port}", "port"
-            occupant[key] = new_site(label, role)
-    edges = tuple(
-        (inner[v][i], occupant[(v, port)], HADAMARD_SIGNS[i][port])
-        for v in desc.vertices
-        for i in range(4)
-        for port in range(4)
-    )
-    layout = HexLayout(inner=inner, occupant=occupant, sites=tuple(sites), edges=edges)
+    vertices, size = desc.vertices, 4 * len(desc.vertices)
+    # slot 4v + p is port p of the v-th vertex; a link site is made at its end in the lower slot
+    first, second = np.sort(_link_slots(desc), axis=1).T
+    made = np.ones(size, dtype=bool)
+    made[second] = False
+    outer = size - 1 + made.cumsum()  # the id of each slot's site, made in slot order
+    outer[second] = outer[first]
+    ports, uploads = [(v, p) for v in vertices for p in range(4)], set(desc.uploads)
+    roles = ["upload" if p == 0 and v in uploads else "port" for v, p in ports]
+    named = [f"{v}.up" if role == "upload" else f"{v}.p{p}" for (v, p), role in zip(ports, roles)]
+    for slot, link in zip(first.tolist(), desc.links):
+        named[slot] = "{}{}-{}{}".format(*link)
+    kept = made.nonzero()[0].tolist()
+    labels = [f"{v}.mu{i}" for v in vertices for i in range(4)] + [named[s] for s in kept]
+    sites = _sites(labels, ["control"] * size + [roles[s] for s in kept])
+    inner = np.arange(size).reshape(-1, 4)
+    # 16 edges per vertex: inner site i to the site at port p, with sign HADAMARD_SIGNS[i][p]
+    edges = np.broadcast_arrays(inner[:, :, None], outer.reshape(-1, 1, 4), HADAMARD_SIGNS)
+    edges = tuple(map(tuple, np.stack(edges, -1).reshape(-1, 3).tolist()))
+    occupant = dict(zip(ports, outer.tolist()))
+    inner = dict(zip(vertices, map(tuple, inner.tolist())))
+    layout = HexLayout(inner=inner, occupant=occupant, sites=sites, edges=edges)
     object.__setattr__(desc, "_layout", layout)  # on the frozen descriptor, not a field
     return layout
+
+
+def _link_slots(desc: HexLatticeDescriptor) -> np.ndarray:
+    """The slots ``4i + pa``, ``4j + pb`` of each link ``(a, pa, b, pb)`` from vertex i to j."""
+    index = {v: i for i, v in enumerate(desc.vertices)}
+    ends = [(4 * index[a] + pa, 4 * index[b] + pb) for a, pa, b, pb in desc.links]
+    return np.array(ends, dtype=np.intp).reshape(-1, 2)
 
 
 def build_hex_lattice(

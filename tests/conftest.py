@@ -12,6 +12,8 @@ import os
 
 os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
 
+from hypothesis import strategies as st  # noqa: E402  (after the kernel pin)
+
 
 def pytest_report_header(config):
     # a golden mismatch on another machine starts with these two facts
@@ -44,3 +46,18 @@ def brick_wall(rows, cols):
         if (r + c) % 2 == 0
     ]
     return vertices, links
+
+
+@st.composite
+def lattices(draw):
+    """1-7 vertices named with braces and brackets, links between free ports in either
+    orientation (a vertex pair may share several), uploads on a random subset."""
+    from cavity_route import HexLatticeDescriptor
+
+    names = st.text(alphabet="ab{}[]", min_size=1, max_size=3)
+    vertices = draw(st.lists(names, min_size=1, max_size=7, unique=True))
+    ends = draw(st.permutations([(v, p) for v in vertices for p in (1, 2, 3)]))
+    pairs = zip(ends[0::2], ends[1::2])
+    links = [(*x, *y) for x, y in pairs if x[0] != y[0] and draw(st.booleans())]
+    uploads = [v for v in draw(st.permutations(vertices)) if draw(st.booleans())]
+    return HexLatticeDescriptor(tuple(vertices), tuple(links), tuple(uploads))

@@ -154,6 +154,7 @@ def test_route_that_turns_back_names_the_vertex(path, vertex):
 
 
 TWO_SITES = (Site(0, "a"), Site(1, "b"))
+THREE_SITES = (*TWO_SITES, Site(2, "c"))
 NO_SAMPLES = np.empty(0)
 EMPTY_TRACE = TraceResult(
     NO_SAMPLES, NO_SAMPLES, np.empty((0, 1)), ("atom[1]",), NO_SAMPLES, STATE, 0j, 0.0
@@ -195,6 +196,53 @@ REFUSED = {
         "network spec must be a JSON object",
         lambda: NetworkSpec.from_json_dict([]),
     ),
+    "spec-self-loop": (
+        "edge (0, 0, 1) is a self-loop",
+        lambda: NetworkSpec(TWO_SITES, ((0, 0, 1),)),
+    ),
+    "spec-edge-sign-two": (
+        "edge sign must be an integer in [-1, 1], got 2",
+        lambda: NetworkSpec(TWO_SITES, ((0, 1, 2),)),
+    ),
+    "spec-edge-repeated-reversed": (
+        "duplicate edge for site pair (0, 1)",
+        lambda: NetworkSpec(TWO_SITES, ((0, 1, 1), (1, 0, -1))),
+    ),
+    "spec-site-id-gap": (
+        "site ids must be consecutive from 0; position 1 has id 2",
+        lambda: NetworkSpec((Site(0, "a"), Site(2, "b")), ()),
+    ),
+    "spec-edge-site-past-end": (
+        "edge site must be an integer in [0, 1], got 5",
+        lambda: NetworkSpec(TWO_SITES, ((0, 5, 1),)),
+    ),
+    # numpy reads True among ints as 1, and a list of equal rows as one array: the checks
+    # that see the edges and group rows as arrays must refuse these all the same
+    "spec-bool-edge-site": (
+        "edge site must be an integer in [0, 1], got True",
+        lambda: NetworkSpec(TWO_SITES, ((0, True, 1),)),
+    ),
+    "spec-array-edges": (
+        "malformed edges: array([[0, 1, 1]])",
+        lambda: NetworkSpec(TWO_SITES, np.array([[0, 1, 1]])),
+    ),
+    # of several refused edges, the first in the list names the fault
+    "spec-first-refused-edge": (
+        "edge sign must be +1 or -1, got 0",
+        lambda: NetworkSpec(THREE_SITES, ((0, 1, 1), (1, 2, 0), (2, 2, 1), (0, 5, 1))),
+    ),
+    "spec-repeat-before-bad-site": (
+        "duplicate edge for site pair (0, 1)",
+        lambda: NetworkSpec(THREE_SITES, ((0, 1, 1), (1, 0, 1), (0, 2.0, 1))),
+    ),
+    "transform-bool-group-row": (
+        "group row must be an integer in [0, 1], got True",
+        lambda: OrthogonalTransform(EYE2, ("x", "y"), (("g", (0, True)),)),
+    ),
+    "transform-array-group-rows": (
+        "malformed group rows: array([0, 1])",
+        lambda: OrthogonalTransform(EYE2, ("x", "y"), (("g", np.array([0, 1])),)),
+    ),
     "lattice-repeated-vertex": (
         "vertices must be a non-empty list of unique names",
         lambda: HexLatticeDescriptor(("a", "a"), (), ()),
@@ -202,6 +250,22 @@ REFUSED = {
     "lattice-link-triple": (
         "link must be (a, port_a, b, port_b), got ('a', 1, 'b')",
         lambda: HexLatticeDescriptor(("a", "b"), (("a", 1, "b"),), ()),
+    ),
+    "lattice-port-taken-twice": (
+        "port ('a', 1) is occupied by more than one link",
+        lambda: HexLatticeDescriptor(("a", "b", "c"), (("a", 1, "b", 1), ("a", 1, "c", 2)), ()),
+    ),
+    "lattice-unknown-vertex": (
+        "link ('a', 1, 'c', 1) references an unknown vertex",
+        lambda: HexLatticeDescriptor(("a", "b"), (("a", 1, "c", 1),), ()),
+    ),
+    "lattice-unhashable-vertex": (
+        "link (['a'], 1, 'b', 1) references an unknown vertex",
+        lambda: HexLatticeDescriptor(("a", "b"), ((["a"], 1, "b", 1),), ()),
+    ),
+    "lattice-comma-in-vertex": (
+        "site label must be text without ',', '|' or a line break, got 'a,b.mu0'",
+        lambda: build_hex_lattice(HexLatticeDescriptor(("c", "a,b"), (), ()), RESONANT),
     ),
     "lattice-repeated-upload": (
         "duplicate upload vertices",

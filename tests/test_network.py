@@ -23,6 +23,7 @@ from cavity_route import (
     hex_lattice_layout,
 )
 from cavity_route.collective import _one_block
+from conftest import lattices
 
 
 class TestSystemParams:
@@ -313,19 +314,6 @@ def _reference_layout(desc):
     return inner, occupant, sites, edges
 
 
-@st.composite
-def _descriptors(draw):
-    """1-7 vertices named with braces and brackets, links between free ports in either
-    orientation (a vertex pair may share several), uploads on a random subset."""
-    names = st.text(alphabet="ab{}[]", min_size=1, max_size=3)
-    vertices = draw(st.lists(names, min_size=1, max_size=7, unique=True))
-    ends = draw(st.permutations([(v, p) for v in vertices for p in (1, 2, 3)]))
-    pairs = zip(ends[0::2], ends[1::2])
-    links = [(*x, *y) for x, y in pairs if x[0] != y[0] and draw(st.booleans())]
-    uploads = [v for v in draw(st.permutations(vertices)) if draw(st.booleans())]
-    return HexLatticeDescriptor(tuple(vertices), tuple(links), tuple(uploads))
-
-
 class TestHexLayout:
     def _two_vertex(self):
         return HexLatticeDescriptor(
@@ -380,7 +368,7 @@ class TestHexLayout:
     # a link first met at its second-listed end, and two links joining one vertex pair
     @example(HexLatticeDescriptor(("a", "b"), (("b", 2, "a", 1), ("a", 3, "b", 3)), ("a",)))
     @example(HexLatticeDescriptor(("{x}", "[y]"), (("[y]", 1, "{x}", 3),), ("[y]",)))
-    @given(_descriptors())
+    @given(lattices())
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     def test_numbering_matches_the_reference(self, desc):
         layout = hex_lattice_layout(desc)
